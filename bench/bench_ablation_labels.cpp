@@ -1,4 +1,5 @@
-// Ablation — multi-label design choices (§III-B, §IV-A / DESIGN.md §5.2-5.4):
+// Ablation — multi-label design choices (§III-B, §IV-A; substrate
+// defaults in README "Benchmarks and examples"):
 //  * adjacency soft labels on/off,
 //  * hierarchical coarse head r on/off,
 //  * joint building/floor heads on/off.

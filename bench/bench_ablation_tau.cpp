@@ -1,4 +1,5 @@
-// Ablation — quantization granularity tau (§III-B / DESIGN.md §5.1).
+// Ablation — quantization granularity tau (§III-B; the default tau is
+// scaled for the synthetic substrate, see README "Benchmarks and examples").
 //
 // Sweeps the fine cell side: smaller tau gives more classes (lower class
 // accuracy, smaller in-cell decode error); larger tau the reverse. The paper

@@ -7,7 +7,7 @@
 // micro-batches even from few clients). The acceptance bar for this repo:
 // engine QPS at 8 client threads >= 2x the sequential baseline.
 //
-// Knobs: the shared NOBLE_ENGINE_* set (see bench::engine_config_from_env),
+// Knobs: the shared NOBLE_ENGINE_* set (see bench::EnvConfig::engine),
 // NOBLE_ENGINE_REQUESTS (per client thread), plus the usual NOBLE_SCALE /
 // NOBLE_EPOCHS experiment sizing.
 #include <algorithm>
@@ -23,6 +23,7 @@
 #include "engine/engine.h"
 #include "serve/wifi_localizer.h"
 #include "support/bench_util.h"
+#include "support/env_config.h"
 
 namespace {
 
@@ -102,13 +103,13 @@ int main() {
   defaults.workers = 0;  // auto: min(hardware, 8)
   defaults.max_wait_us = 100;
   defaults.queue_cap = 4096;
-  const engine::EngineConfig cfg = bench::engine_config_from_env(defaults);
+  bench::EnvConfig env;
+  const engine::EngineConfig cfg = env.engine(defaults);
   const auto per_client = static_cast<std::size_t>(
       env_int("NOBLE_ENGINE_REQUESTS", static_cast<long>(scaled(4000, 256))));
 
-  std::printf("localizer: %zu APs, %zu test queries | engine: %s\n\n",
-              localizer.num_aps(), queries.size(),
-              bench::describe_engine_config(cfg).c_str());
+  std::printf("localizer: %zu APs, %zu test queries\nconfig:\n%s\n",
+              localizer.num_aps(), queries.size(), env.describe().c_str());
 
   // Warm-up.
   for (std::size_t i = 0; i < std::min<std::size_t>(64, queries.size()); ++i) {

@@ -14,7 +14,7 @@
 // p50 with the cache on vs off — the hit path answers at submit() without
 // entering the queue, so it must sit far under the uncached p50.
 //
-// Knobs: the shared NOBLE_ENGINE_* set (bench::engine_config_from_env),
+// Knobs: the shared NOBLE_ENGINE_* set (bench::EnvConfig::engine),
 // NOBLE_FLEET_SHARDS, NOBLE_FLEET_ENGINES, NOBLE_FLEET_CLIENTS,
 // NOBLE_FLEET_REQUESTS (per client), NOBLE_FLEET_DISTINCT (phase-2 pool),
 // plus NOBLE_SCALE / NOBLE_EPOCHS experiment sizing.
@@ -31,6 +31,7 @@
 #include "fleet/router.h"
 #include "serve/wifi_localizer.h"
 #include "support/bench_util.h"
+#include "support/env_config.h"
 
 namespace {
 
@@ -90,7 +91,8 @@ int main() {
   defaults.workers = 0;  // auto: min(hardware, 8)
   defaults.max_wait_us = 100;
   defaults.queue_cap = 4096;
-  const engine::EngineConfig cfg = bench::engine_config_from_env(defaults);
+  bench::EnvConfig env;
+  const engine::EngineConfig cfg = env.engine(defaults);
   const auto num_shards =
       static_cast<std::size_t>(env_int("NOBLE_FLEET_SHARDS", 2));
   const auto engines_per_shard =
@@ -100,9 +102,8 @@ int main() {
       env_int("NOBLE_FLEET_REQUESTS", static_cast<long>(scaled(2000, 128))));
 
   const std::vector<std::string> keys = make_shard_keys(num_shards);
-  std::printf("fleet: %zu shards x %zu engines | engine: %s\n",
-              num_shards, engines_per_shard,
-              bench::describe_engine_config(cfg).c_str());
+  std::printf("fleet: %zu shards x %zu engines\nconfig:\n%s", num_shards,
+              engines_per_shard, env.describe().c_str());
   std::printf("load: %zu clients x %zu requests, %zu distinct scans\n\n", clients,
               per_client, queries.size());
 
@@ -131,8 +132,9 @@ int main() {
     load.retry_interactive_full = true;
     load.interactive_inflight_window = 16;  // keep micro-batches full
     load.bulk_clients = 0;
+    bench::RouterTarget target(router);
     const bench::MixedLoadReport result =
-        bench::run_mixed_load(router, keys, queries, load);
+        bench::run_mixed_load(target, keys, queries, load);
     const double qps = result.qps;
     const fleet::FleetStats stats = router.stats();
     std::printf("phase 1 — sharded routing (%zu engines total): %9.0f qps aggregate\n",

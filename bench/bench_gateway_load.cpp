@@ -59,6 +59,7 @@
 #include "serve/imu_localizer.h"
 #include "serve/wifi_localizer.h"
 #include "support/bench_util.h"
+#include "support/env_config.h"
 
 namespace {
 
@@ -449,15 +450,17 @@ int main(int argc, char** argv) {
   engine_defaults.workers = 0;  // auto: min(hardware, 8)
   engine_defaults.max_wait_us = 100;
   engine_defaults.queue_cap = 4096;
-  const engine::EngineConfig engine_cfg = bench::engine_config_from_env(engine_defaults);
-  const gateway::GatewayConfig gw_cfg = bench::gateway_config_from_env();
-  const bench::OpenLoopConfig load_cfg = bench::open_loop_config_from_env();
-  const auto max_steps =
-      static_cast<std::size_t>(env_int("NOBLE_LOAD_STEPS", 6));
-  std::printf("engine: %s\n", bench::describe_engine_config(engine_cfg).c_str());
-  std::printf("gateway: %s\n", bench::describe_gateway_config(gw_cfg).c_str());
-  std::printf("load: %s, <= %zu doublings\n\n",
-              bench::describe_open_loop_config(load_cfg).c_str(), max_steps);
+  bench::EnvConfig env;
+  const engine::EngineConfig engine_cfg = env.engine(engine_defaults);
+  const gateway::GatewayConfig gw_cfg = env.gateway();
+  const bench::OpenLoopConfig load_cfg = env.open_loop({});
+  const auto max_steps = static_cast<std::size_t>(env.integer("NOBLE_LOAD_STEPS", 6));
+  std::printf("config:\n%s", env.describe().c_str());
+  std::printf("load mix: %.0f%% bulk (deadline %llu us) / %.0f%% session over %zu "
+              "sessions, %zu settlers\n\n",
+              100.0 * load_cfg.bulk_fraction,
+              static_cast<unsigned long long>(load_cfg.bulk_deadline_us),
+              100.0 * load_cfg.session_fraction, load_cfg.sessions, load_cfg.settlers);
 
   std::printf("training (deterministic: every mode rebuilds the same models)...\n");
   const Workload load = build_workload();

@@ -40,7 +40,8 @@ int main() {
   {
     ManifoldRegressionConfig mcfg;
     mcfg.method = ManifoldMethod::kIsomap;
-    mcfg.embedding_dim = manifold_dim;  // paper: 400 (see DESIGN.md)
+    // Paper: 400; scaled down (see README "Benchmarks and examples").
+    mcfg.embedding_dim = manifold_dim;
     mcfg.regression = bench::regression_config();
     ManifoldRegressionWifi isomap(mcfg);
     isomap.fit(exp.split.train, &exp.split.val);

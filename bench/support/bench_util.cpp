@@ -1,7 +1,5 @@
 #include "support/bench_util.h"
 
-#include "support/env_config.h"
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -67,29 +65,6 @@ core::NobleImuConfig noble_imu_config() {
   return cfg;
 }
 
-engine::EngineConfig engine_config_from_env(engine::EngineConfig defaults) {
-  EnvConfig env;
-  return env.engine(std::move(defaults));
-}
-
-std::string describe_engine_config(const engine::EngineConfig& cfg) {
-  char buffer[384];
-  std::snprintf(buffer, sizeof(buffer),
-                "%zu workers, max_batch %zu, max_wait %llu us%s, queue_cap %zu "
-                "(class caps %zu:%zu), bulk %s, sessions %s, deadline %llu us, "
-                "backend %s, cache %zu, kernel %s",
-                cfg.workers, cfg.max_batch,
-                static_cast<unsigned long long>(cfg.max_wait_us),
-                cfg.adaptive_wait ? " (adaptive)" : "", cfg.queue_cap,
-                cfg.interactive_cap, cfg.bulk_cap,
-                cfg.edf_bulk ? "edf" : "fifo",
-                cfg.coalesce_sessions ? "coalesced" : "serialized",
-                static_cast<unsigned long long>(cfg.default_deadline_us),
-                engine::backend_kind_name(cfg.backend), cfg.cache_capacity,
-                kernels::isa_name(kernels::active_isa()));
-  return buffer;
-}
-
 void print_banner(const std::string& bench_name, const std::string& paper_ref) {
   kernels::apply_env_override();  // honor NOBLE_KERNEL before reporting it
   std::printf("==============================================================\n");
@@ -98,9 +73,9 @@ void print_banner(const std::string& bench_name, const std::string& paper_ref) {
   std::printf("Kernel ISA: %s (avx2 %s; override with NOBLE_KERNEL=scalar|avx2|auto)\n",
               kernels::isa_name(kernels::active_isa()),
               kernels::avx2_supported() ? "available" : "unavailable");
-  std::printf("NOBLE_SCALE=%.2f (synthetic substrate; see DESIGN.md for the\n",
+  std::printf("NOBLE_SCALE=%.2f (synthetic substrate; see README \"Benchmarks and\n",
               global_scale());
-  std::printf("substitution table — shapes, not absolute numbers, are the target)\n");
+  std::printf("examples\" — shapes, not absolute numbers, are the target)\n");
   std::printf("==============================================================\n");
 }
 
@@ -161,7 +136,7 @@ void settle(ClassLoadReport& report, const LoadClock::time_point& submitted_at,
     report.latency_us.record(load_us_since(submitted_at));
   } catch (const engine::DeadlineExpired&) {
     ++report.expired;
-  } catch (const WireRejected& rejected) {
+  } catch (const gateway::wire::WireRejected& rejected) {
     if (rejected.status == gateway::wire::Status::kDeadlineExpired ||
         rejected.status == gateway::wire::Status::kExpired) {
       ++report.expired;
@@ -420,7 +395,8 @@ struct SocketTarget::Conn {
     dead.store(true, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(pending_mu);
     const auto lost =
-        std::make_exception_ptr(WireRejected(gateway::wire::Status::kStopped));
+        std::make_exception_ptr(
+            gateway::wire::WireRejected(gateway::wire::Status::kStopped));
     for (auto& [id, waiter] : fix_waiters) waiter.set_exception(lost);
     for (auto& [id, waiter] : open_waiters) {
       waiter.set_value({gateway::wire::Status::kStopped, 0});
@@ -621,21 +597,6 @@ bool SocketTarget::close_session(std::uint64_t session) {
   return reply.get() == gateway::wire::Status::kOk;
 }
 
-gateway::GatewayConfig gateway_config_from_env(gateway::GatewayConfig defaults) {
-  EnvConfig env;
-  return env.gateway(std::move(defaults));
-}
-
-std::string describe_gateway_config(const gateway::GatewayConfig& cfg) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "bind %s:%u (0 = ephemeral), %zu handler threads, "
-                "inflight window %zu, max frame %zu B",
-                cfg.bind_address.c_str(), static_cast<unsigned>(cfg.port),
-                cfg.threads, cfg.inflight_window, cfg.max_frame_bytes);
-  return buffer;
-}
-
 // --- open-loop load ----------------------------------------------------------
 
 namespace {
@@ -820,24 +781,6 @@ OpenLoopReport run_open_loop(LoadTarget& target,
         report.wall_seconds;
   }
   return report;
-}
-
-OpenLoopConfig open_loop_config_from_env(OpenLoopConfig defaults) {
-  EnvConfig env;
-  return env.open_loop(defaults);
-}
-
-std::string describe_open_loop_config(const OpenLoopConfig& cfg) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "offered %.0f qps (NOBLE_LOAD_QPS) for %.1f s "
-                "(NOBLE_LOAD_SECONDS), mix %.0f%% bulk / %.0f%% session, "
-                "%zu sessions, bulk deadline %llu us, %zu settlers",
-                cfg.offered_qps, cfg.seconds, 100.0 * cfg.bulk_fraction,
-                100.0 * cfg.session_fraction, cfg.sessions,
-                static_cast<unsigned long long>(cfg.bulk_deadline_us),
-                cfg.settlers);
-  return buffer;
 }
 
 void print_open_loop_row(const OpenLoopReport& report) {

@@ -50,46 +50,18 @@ core::RegressionConfig regression_config();
 /// NObLe IMU hyperparameters.
 core::NobleImuConfig noble_imu_config();
 
-/// Engine knobs shared by the engine/fleet/cache benches, applied over
-/// `defaults` (every field falls back to the passed default):
-/// NOBLE_ENGINE_WORKERS, NOBLE_ENGINE_MAX_BATCH, NOBLE_ENGINE_MAX_WAIT_US,
-/// NOBLE_ENGINE_QUEUE_CAP, NOBLE_ENGINE_ADAPTIVE (0/1),
-/// NOBLE_ENGINE_BACKEND (dense|quantized), NOBLE_ENGINE_CACHE_CAP,
-/// NOBLE_ENGINE_CACHE_STEP_DB, NOBLE_ENGINE_CLASS_CAPS
-/// ("interactive:bulk" queue-slot caps, 0 = uncapped, e.g. "0:256"),
-/// NOBLE_ENGINE_DEADLINE_US (engine-wide default deadline budget, 0 = off),
-/// NOBLE_ENGINE_EDF (0/1: bulk lane FIFO vs earliest-deadline-first) and
-/// NOBLE_ENGINE_COALESCE (0/1: cross-session IMU batching vs
-/// serialized-per-track draining).
-/// Also applies the process-wide NOBLE_KERNEL override (scalar|avx2|auto).
-/// `defaults.workers == 0` means auto: size the pool to min(hardware, 8),
-/// at least 2 — what the throughput benches want on any host.
-engine::EngineConfig engine_config_from_env(engine::EngineConfig defaults = {});
-
-/// One-line engine-config summary for bench banners.
-std::string describe_engine_config(const engine::EngineConfig& cfg);
-
-/// Gateway knobs applied over `defaults`: NOBLE_GATEWAY_PORT (0 =
-/// ephemeral) and NOBLE_GATEWAY_THREADS (connection-handler threads) — the
-/// two that change what a CI log must record to reproduce a smoke run.
-gateway::GatewayConfig gateway_config_from_env(gateway::GatewayConfig defaults = {});
-
-/// One-line gateway-config summary for bench banners.
-std::string describe_gateway_config(const gateway::GatewayConfig& cfg);
+// Env-driven engine/gateway/open-loop configuration lives in
+// support/env_config.h: construct one bench::EnvConfig, read every config
+// through it, and print its describe() in the banner.
 
 // --- load targets ------------------------------------------------------------
 
-/// Rejection that reached the client over the wire — now defined next to
-/// the status table in wire.h (every client reader shares it); the old name
-/// stays for the benches.
-using WireRejected = gateway::wire::WireRejected;
-
 /// What the load generators drive: the in-process fleet Router or a live
 /// gateway socket, behind one submit/track surface. Futures resolve with a
-/// Fix, or fail with engine::DeadlineExpired / WireRejected — exactly the
-/// split the per-class reports count. Session handles are target-scoped
-/// opaque ids (a sticky FleetSession in-process, a wire session id over a
-/// socket).
+/// Fix, or fail with engine::DeadlineExpired / gateway::wire::WireRejected —
+/// exactly the split the per-class reports count. Session handles are
+/// target-scoped opaque ids (a sticky FleetSession in-process, a wire
+/// session id over a socket).
 class LoadTarget {
  public:
   virtual ~LoadTarget() = default;
@@ -137,9 +109,9 @@ class RouterTarget final : public LoadTarget {
 /// one reader thread per connection fulfilling promises as response frames
 /// arrive. submit() is optimistic (kAccepted once the frame is on the
 /// wire); server-side rejections come back through the future as
-/// WireRejected, deadline lapses as engine::DeadlineExpired. One session's
-/// updates always ride one connection, preserving the engine's per-session
-/// FIFO contract end to end.
+/// gateway::wire::WireRejected, deadline lapses as engine::DeadlineExpired.
+/// One session's updates always ride one connection, preserving the
+/// engine's per-session FIFO contract end to end.
 class SocketTarget final : public LoadTarget {
  public:
   /// Connects `connections` sockets to a running gateway; nullptr when any
@@ -232,15 +204,6 @@ MixedLoadReport run_mixed_load(LoadTarget& target,
                                const std::vector<serve::RssiVector>& queries,
                                const MixedLoadConfig& cfg);
 
-/// Router convenience overload (the pre-gateway call shape).
-inline MixedLoadReport run_mixed_load(fleet::Router& router,
-                                      const std::vector<std::string>& shard_keys,
-                                      const std::vector<serve::RssiVector>& queries,
-                                      const MixedLoadConfig& cfg) {
-  RouterTarget target(router);
-  return run_mixed_load(static_cast<LoadTarget&>(target), shard_keys, queries, cfg);
-}
-
 // --- open-loop load ----------------------------------------------------------
 
 /// Open-loop (Poisson-arrival) generator: requests fire on an exponential
@@ -290,14 +253,6 @@ OpenLoopReport run_open_loop(LoadTarget& target,
                              const std::vector<serve::ImuSegment>& segments,
                              const std::vector<geo::Point2>& session_starts,
                              const OpenLoopConfig& cfg);
-
-/// Open-loop sweep knobs: NOBLE_LOAD_QPS (first offered-QPS step) and
-/// NOBLE_LOAD_SECONDS (measurement window per step), printed by
-/// describe_open_loop_config so a CI log reproduces the run.
-OpenLoopConfig open_loop_config_from_env(OpenLoopConfig defaults = {});
-
-/// One-line open-loop summary for bench banners.
-std::string describe_open_loop_config(const OpenLoopConfig& cfg);
 
 /// Prints one offered-vs-measured open-loop row (all three classes).
 void print_open_loop_row(const OpenLoopReport& report);

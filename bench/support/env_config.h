@@ -1,19 +1,13 @@
 // One env-knob reader for every bench and demo binary.
 //
-// Before this, engine_config_from_env, gateway_config_from_env and
-// open_loop_config_from_env each read the environment their own way and
-// printed their own banners; adding the NOBLE_CLUSTER_* family would have
-// made a fourth copy. EnvConfig is the single path: every read goes through
-// integer()/real()/flag()/text(), which apply the environment over the
-// caller's default AND record what was read — name, resolved value, and
-// whether the environment or the default supplied it. describe() then
-// renders the whole record, so a CI log always shows the exact knob set
-// that produced a run, including the knobs left at their defaults.
-//
-// The old *_config_from_env names survive as thin wrappers over the
-// composite readers here (engine()/gateway()/open_loop()), so existing
-// benches compile unchanged; new code should construct an EnvConfig,
-// read every config through it, and print describe() once.
+// EnvConfig is the single path from the environment to a config: every
+// read goes through integer()/real()/flag()/text(), which apply the
+// environment over the caller's default AND record what was read — name,
+// resolved value, and whether the environment or the default supplied it.
+// describe() then renders the whole record, so a CI log always shows the
+// exact knob set that produced a run, including the knobs left at their
+// defaults. A bench constructs one EnvConfig, reads every config through
+// it, and prints describe() once in its banner.
 #ifndef NOBLE_BENCH_SUPPORT_ENV_CONFIG_H_
 #define NOBLE_BENCH_SUPPORT_ENV_CONFIG_H_
 
@@ -45,7 +39,16 @@ class EnvConfig {
   std::string text(const char* name, std::string fallback);
 
   // --- composite readers (env applied over `defaults`) ------------------------
-  /// NOBLE_ENGINE_* family + the process-wide NOBLE_KERNEL override.
+  /// Engine knobs, each applied over its field in `defaults`:
+  /// NOBLE_ENGINE_WORKERS, NOBLE_ENGINE_MAX_BATCH, NOBLE_ENGINE_MAX_WAIT_US,
+  /// NOBLE_ENGINE_QUEUE_CAP, NOBLE_ENGINE_BACKEND (dense|quantized),
+  /// NOBLE_ENGINE_CACHE_CAP, NOBLE_ENGINE_CACHE_STEP_DB,
+  /// NOBLE_ENGINE_CLASS_CAPS ("interactive:bulk" queue-slot caps, 0 =
+  /// uncapped, e.g. "0:256"), NOBLE_ENGINE_DEADLINE_US (engine-wide default
+  /// deadline budget, 0 = off), NOBLE_ENGINE_EDF (0/1: bulk lane FIFO vs
+  /// earliest-deadline-first) and NOBLE_ENGINE_COALESCE (0/1: cross-session
+  /// IMU batching vs serialized-per-track draining). Also applies and
+  /// records the process-wide NOBLE_KERNEL override (scalar|avx2|auto).
   /// `defaults.workers == 0` means auto-size to min(hardware, 8), at least 2.
   engine::EngineConfig engine(engine::EngineConfig defaults = {});
   /// NOBLE_GATEWAY_PORT / NOBLE_GATEWAY_THREADS.

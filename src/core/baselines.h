@@ -80,7 +80,8 @@ struct ManifoldRegressionConfig {
   RegressionConfig regression;
   ManifoldMethod method = ManifoldMethod::kIsomap;
   /// Embedding dimension (paper: 400; default smaller for the single-core
-  /// substrate, see DESIGN.md — override with NOBLE_MANIFOLD_DIM).
+  /// substrate, see README "Benchmarks and examples" — override with
+  /// NOBLE_MANIFOLD_DIM).
   std::size_t embedding_dim = 64;
   /// kNN graph size.
   std::size_t k = 12;

@@ -32,10 +32,12 @@ class Sequential;
 
 namespace noble::core {
 
-/// Quantization hyperparameters (ablatable; see DESIGN.md §5).
+/// Quantization hyperparameters (ablatable; see bench_ablation_tau and
+/// bench_ablation_labels).
 struct QuantizeConfig {
   /// Fine cell side tau in meters (paper: < 0.2 m on real UJI; default is
-  /// coarser so the synthetic substrate trains in seconds — see DESIGN.md).
+  /// coarser so the synthetic substrate trains in seconds — see README
+  /// "Benchmarks and examples").
   double tau = 3.0;
   /// Coarse cell side l > tau for the hierarchical head r.
   double coarse_l = 12.0;

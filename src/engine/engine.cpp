@@ -2,16 +2,24 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 namespace noble::engine {
 
 namespace {
 
-constexpr auto us_since = [](const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
-      .count();
-};
+std::uint64_t ns_of(const std::chrono::steady_clock::time_point& t) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t.time_since_epoch())
+          .count());
+}
+
+/// Microseconds from `from_ns` to `to_ns`, 0 when the clock reads went the
+/// other way round (the same steady clock obs::Trace::now_ns() reads).
+double us_between(std::uint64_t from_ns, std::uint64_t to_ns) {
+  return to_ns > from_ns ? static_cast<double>(to_ns - from_ns) / 1000.0 : 0.0;
+}
 
 }  // namespace
 
@@ -23,8 +31,7 @@ Engine::Engine(std::unique_ptr<WifiBackend> prototype, EngineConfig config)
       queue_(config.queue_cap,
              ClassCaps{std::min(config.interactive_cap, config.queue_cap),
                        std::min(config.bulk_cap, config.queue_cap)},
-             config.edf_bulk),
-      batch_wait_us_(config.max_wait_us) {
+             config.edf_bulk) {
   NOBLE_EXPECTS(prototype != nullptr);
   NOBLE_EXPECTS(config_.workers >= 1);
   NOBLE_EXPECTS(config_.max_batch >= 1);
@@ -100,9 +107,9 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
     if (std::optional<serve::Fix> hit = cache_->get(rssi)) {
       // Admission-control fast path: answered without touching the queue.
       // Counted like any other request (submitted/completed/latency) so the
-      // stats invariants hold with the cache on. record_completion takes
-      // stats_mu_ once; the promise/future machinery dominates the hit
-      // cost, not that short critical section.
+      // stats invariants hold with the cache on — but never as a batch and
+      // without a queue-wait sample: it was never queued. One short
+      // stats_mu_ hold; the promise/future machinery dominates the hit cost.
       std::promise<serve::Fix> promise;
       std::future<serve::Fix> result = promise.get_future();
       submitted_.inc();
@@ -118,7 +125,13 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
         options.trace->stamp(obs::Mark::kComputed, ns);
       }
       promise.set_value(std::move(*hit));
-      record_completion(submitted_at, options.request_class);
+      const double latency_us =  // clock read outside the lock
+          std::chrono::duration<double, std::micro>(Clock::now() - submitted_at).count();
+      {
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        ++completed_;
+        class_latency_[cls].record(latency_us);
+      }
       if (options.trace != nullptr && !options.trace->external_respond) {
         options.trace->stamp(obs::Mark::kResponded);
         obs::Tracer::global().finish(*options.trace);
@@ -214,7 +227,7 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
   if (!state->scheduled) {
     // Session tokens carry the class of the update that scheduled them (so
     // a bulk sweep's token queues behind interactive traffic) but never a
-    // deadline — per-update deadlines are enforced in drain_session.
+    // deadline — per-update deadlines are enforced in drain_sessions.
     const PushResult pushed =
         queue_.try_push(Request{SessionWork{session}}, options.request_class);
     if (pushed != PushResult::kOk) {
@@ -290,9 +303,6 @@ EngineStats Engine::stats() const {
     snapshot.cache_evictions = cache.evictions;
     snapshot.cache_entries = cache.entries;
   }
-  snapshot.batch_wait_us = config_.adaptive_wait
-                               ? batch_wait_us_.load(std::memory_order_relaxed)
-                               : config_.max_wait_us;
   const LatencySummary total = summarize_latency_us(snapshot.latency_us);
   snapshot.latency_p50_us = total.p50_us;
   snapshot.latency_p95_us = total.p95_us;
@@ -323,7 +333,6 @@ void EngineStats::merge(const EngineStats& other) {
   cache_misses += other.cache_misses;
   cache_evictions += other.cache_evictions;
   cache_entries += other.cache_entries;
-  batch_wait_us = std::max(batch_wait_us, other.batch_wait_us);
   batch_size.merge(other.batch_size);
   imu_batch_size.merge(other.imu_batch_size);
   queue_wait_us.merge(other.queue_wait_us);
@@ -340,16 +349,12 @@ void EngineStats::merge(const EngineStats& other) {
 void Engine::worker_loop(std::size_t worker_index) {
   const WifiBackend& replica = *replicas_[worker_index];
   for (;;) {
-    const std::uint64_t wait_us = config_.adaptive_wait
-                                      ? batch_wait_us_.load(std::memory_order_relaxed)
-                                      : config_.max_wait_us;
     std::vector<Request> expired;
     std::vector<Request> batch = queue_.pop_batch(
-        config_.max_batch, std::chrono::microseconds(wait_us), &expired);
+        config_.max_batch, std::chrono::microseconds(config_.max_wait_us), &expired);
     if (batch.empty() && expired.empty()) return;  // closed and fully drained
-    // One clock read marks kDequeued for every trace in this batch.
+    // One clock read marks kDequeued for every Wi-Fi request in this batch.
     const std::uint64_t dequeued_ns = obs::Trace::now_ns();
-    if (config_.adaptive_wait) adapt_batch_window(wait_us);
     // Deadline-expired takes never reach a replica: fail their futures and
     // move on — the batch slots went to live requests instead.
     for (Request& request : expired) {
@@ -361,8 +366,8 @@ void Engine::worker_loop(std::size_t worker_index) {
       }
     }
     // Partition the takes: independent Wi-Fi queries coalesce into one
-    // network pass; session tokens are drained per-track afterwards (their
-    // ordering lives in the per-session FIFO, not the shared queue).
+    // network pass; session tokens are drained afterwards (their ordering
+    // lives in the per-session FIFO, not the shared queue).
     std::vector<WifiRequest> wifi;
     std::vector<SessionId> tokens;
     for (Request& request : batch) {
@@ -373,44 +378,62 @@ void Engine::worker_loop(std::size_t worker_index) {
       }
     }
     if (!wifi.empty()) run_wifi_batch(replica, std::move(wifi), dequeued_ns);
-    if (config_.coalesce_sessions && tokens.size() > 1) {
-      // Cross-session coalescing: one batched IMU pass per round over every
-      // track this pop's tokens cover, instead of a per-track drain.
-      drain_sessions(tokens, dequeued_ns);
+    if (config_.coalesce_sessions) {
+      // One IMU pass per round over every track this pop's tokens cover.
+      if (!tokens.empty()) drain_sessions(tokens);
     } else {
-      for (const SessionId id : tokens) drain_session(id, dequeued_ns);
+      for (const SessionId id : tokens) drain_sessions({id});
     }
   }
 }
 
-void Engine::adapt_batch_window(std::uint64_t used_wait_us) {
-  const std::size_t depth = queue_.depth();
-  const std::uint64_t waited_us = ewma_queue_wait_us_.load(std::memory_order_relaxed);
-  // Measured-pressure shrink: when requests already sit in the queue for
-  // more than twice the window, batches fill from backlog — the window is
-  // pure added latency even if the instantaneous depth reads shallow
-  // (workers draining instantly keep depth at 1-2 while every request
-  // still waits). depth > 0 keeps a stale EWMA from shrinking an idle
-  // engine; new samples decay it once traffic resumes.
-  const bool wait_pressure = depth > 0 && waited_us > 2 * used_wait_us;
-  if (depth > config_.max_batch || wait_pressure) {
-    // Backlogged: the next batch fills without waiting, so any window only
-    // adds latency. Halve toward zero.
-    batch_wait_us_.store(used_wait_us / 2, std::memory_order_relaxed);
-  } else if (depth == 0 && used_wait_us < config_.max_wait_us) {
-    // Idle again: grow the window back so sparse traffic re-coalesces.
-    const std::uint64_t grown = used_wait_us == 0 ? 1 : used_wait_us * 2;
-    batch_wait_us_.store(std::min<std::uint64_t>(config_.max_wait_us, grown),
-                         std::memory_order_relaxed);
+template <typename Ticket, typename Compute, typename Publish>
+void Engine::complete_batch(std::vector<Ticket>& tickets, std::uint64_t taken_ns,
+                            Compute&& compute, Publish&& publish) {
+  constexpr bool kImu = std::is_same_v<Ticket, PendingUpdate>;
+  bool any_traced = false;
+  for (const Ticket& ticket : tickets) {
+    if (ticket.trace == nullptr) continue;
+    any_traced = true;
+    ticket.trace->stamp(obs::Mark::kDequeued, taken_ns);
   }
-}
-
-void Engine::feed_queue_wait(double mean_wait_us) {
-  const auto sample = static_cast<std::uint64_t>(std::max(0.0, mean_wait_us));
-  const std::uint64_t old = ewma_queue_wait_us_.load(std::memory_order_relaxed);
-  // Races between workers lose samples, never corrupt the gauge (any
-  // stored value is a valid EWMA state) — same contract as batch_wait_us_.
-  ewma_queue_wait_us_.store(old - old / 4 + sample / 4, std::memory_order_relaxed);
+  const std::uint64_t assembled_ns = obs::Trace::now_ns();
+  if (any_traced) {
+    for (const Ticket& ticket : tickets) {
+      if (ticket.trace != nullptr) ticket.trace->stamp(obs::Mark::kAssembled, assembled_ns);
+    }
+  }
+  const std::vector<serve::Fix> fixes = compute();
+  const Clock::time_point done = Clock::now();  // one read for the batch
+  if (any_traced) {
+    // Stamp before set_value below: the promise hands the trace to whoever
+    // awaits the future, so every engine mark must land first.
+    const std::uint64_t done_ns = ns_of(done);
+    for (const Ticket& ticket : tickets) {
+      if (ticket.trace != nullptr) ticket.trace->stamp(obs::Mark::kComputed, done_ns);
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++(kImu ? imu_batches_ : batches_);
+    (kImu ? imu_batch_hist_ : batch_hist_).record(static_cast<double>(tickets.size()));
+    assembly_hist_.record(us_between(taken_ns, assembled_ns));
+    completed_ += tickets.size();
+    for (const Ticket& ticket : tickets) {
+      queue_wait_hist_.record(us_between(ns_of(ticket.submitted_at), taken_ns));
+      class_latency_[request_class_index(ticket.cls)].record(
+          std::chrono::duration<double, std::micro>(done - ticket.submitted_at).count());
+    }
+  }
+  publish(fixes);
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    tickets[i].promise.set_value(fixes[i]);
+    if (tickets[i].trace != nullptr && !tickets[i].trace->external_respond) {
+      // In-process serving: fulfilling the future IS the response write.
+      tickets[i].trace->stamp(obs::Mark::kResponded);
+      obs::Tracer::global().finish(*tickets[i].trace);
+    }
+  }
 }
 
 void Engine::run_wifi_batch(const WifiBackend& replica,
@@ -419,130 +442,21 @@ void Engine::run_wifi_batch(const WifiBackend& replica,
   std::vector<serve::RssiVector> queries;
   queries.reserve(batch.size());
   for (WifiRequest& request : batch) queries.push_back(std::move(request.rssi));
-  bool any_traced = false;
-  // Measured queue wait per request (admit -> this pop) — always on, one
-  // subtraction each: the feedback signal adapt_batch_window reads and the
-  // engine-owned counterpart of the obs kQueueWait stage.
-  double wait_sum_us = 0.0;
-  std::vector<double> waits_us;
-  waits_us.reserve(batch.size());
-  for (const WifiRequest& request : batch) {
-    const auto submitted_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            request.submitted_at.time_since_epoch())
-            .count());
-    const double wait_us =
-        dequeued_ns > submitted_ns ? (dequeued_ns - submitted_ns) / 1000.0 : 0.0;
-    waits_us.push_back(wait_us);
-    wait_sum_us += wait_us;
-    if (request.trace == nullptr) continue;
-    any_traced = true;
-    request.trace->stamp(obs::Mark::kDequeued, dequeued_ns);
-  }
-  feed_queue_wait(wait_sum_us / static_cast<double>(batch.size()));
-  const std::uint64_t assembled_ns = obs::Trace::now_ns();
-  if (any_traced) {
-    for (const WifiRequest& request : batch) {
-      if (request.trace != nullptr) {
-        request.trace->stamp(obs::Mark::kAssembled, assembled_ns);
-      }
-    }
-  }
-  const std::vector<serve::Fix> fixes = replica.locate_batch(queries);
-  const Clock::time_point done = Clock::now();  // one read for the batch
-  if (any_traced) {
-    // Stamp before set_value below: the promise hands the trace to whoever
-    // awaits the future, so every engine mark must land first.
-    const auto done_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(done.time_since_epoch())
-            .count());
-    for (const WifiRequest& request : batch) {
-      if (request.trace != nullptr) {
-        request.trace->stamp(obs::Mark::kComputed, done_ns);
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++batches_;
-    batch_hist_.record(static_cast<double>(batch.size()));
-    assembly_hist_.record(
-        assembled_ns > dequeued_ns ? (assembled_ns - dequeued_ns) / 1000.0 : 0.0);
-    completed_ += batch.size();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      queue_wait_hist_.record(waits_us[i]);
-      class_latency_[request_class_index(batch[i].cls)].record(
-          std::chrono::duration<double, std::micro>(done - batch[i].submitted_at)
-              .count());
-    }
-  }
-  if (cache_.has_value()) {
-    // Populate before fulfilling: once a future resolves, the cache already
-    // reflects its scan, so a client that awaits a fix and resubmits the
-    // same scan is guaranteed the fast path (and telemetry reads after
-    // get() are deterministic).
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      cache_->put(std::move(queries[i]), fixes[i]);
-    }
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i].promise.set_value(fixes[i]);
-    if (batch[i].trace != nullptr && !batch[i].trace->external_respond) {
-      // In-process serving: fulfilling the future IS the response write.
-      batch[i].trace->stamp(obs::Mark::kResponded);
-      obs::Tracer::global().finish(*batch[i].trace);
-    }
-  }
+  complete_batch(
+      batch, dequeued_ns, [&] { return replica.locate_batch(queries); },
+      [&](const std::vector<serve::Fix>& fixes) {
+        if (!cache_.has_value()) return;
+        // Populate before fulfilling: once a future resolves, the cache
+        // already reflects its scan, so a client that awaits a fix and
+        // resubmits the same scan is guaranteed the fast path (and telemetry
+        // reads after get() are deterministic).
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          cache_->put(std::move(queries[i]), fixes[i]);
+        }
+      });
 }
 
-void Engine::drain_session(SessionId id, std::uint64_t dequeued_ns) {
-  std::shared_ptr<SessionState> state;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    const auto it = sessions_.find(id);
-    if (it == sessions_.end()) return;  // closed while the token was queued
-    state = it->second;
-  }
-  // Per-session mutex held across the updates: serialization per track is
-  // the session contract, and only same-session submissions wait on it.
-  std::lock_guard<std::mutex> lock(state->mu);
-  while (!state->pending.empty()) {
-    PendingUpdate update = std::move(state->pending.front());
-    state->pending.pop_front();
-    if (update.deadline.has_value() && *update.deadline <= Clock::now()) {
-      // Expired before its turn: never applied to the track, so later
-      // updates see the session state without it. Its trace is dropped, not
-      // finished — stage latency describes served requests.
-      expire_promise(update.promise, update.cls);
-      continue;
-    }
-    if (update.trace != nullptr) {
-      // A session update has no separate batch-assembly step; kAssembled
-      // marks the moment its turn in the FIFO comes up.
-      update.trace->stamp(obs::Mark::kDequeued, dequeued_ns);
-      update.trace->stamp(obs::Mark::kAssembled);
-    }
-    const auto submitted_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            update.submitted_at.time_since_epoch())
-            .count());
-    const double wait_us =
-        dequeued_ns > submitted_ns ? (dequeued_ns - submitted_ns) / 1000.0 : 0.0;
-    feed_queue_wait(wait_us);
-    const serve::Fix fix = state->session.update(update.segment);
-    if (update.trace != nullptr) update.trace->stamp(obs::Mark::kComputed);
-    record_completion(update.submitted_at, update.cls, wait_us);
-    update.promise.set_value(fix);
-    if (update.trace != nullptr && !update.trace->external_respond) {
-      update.trace->stamp(obs::Mark::kResponded);
-      obs::Tracer::global().finish(*update.trace);
-    }
-  }
-  state->scheduled = false;
-}
-
-void Engine::drain_sessions(const std::vector<SessionId>& ids,
-                            std::uint64_t dequeued_ns) {
+void Engine::drain_sessions(const std::vector<SessionId>& ids) {
   // shared_ptr copies keep every state alive across the drain even if the
   // session is closed mid-flight (close_session only clears pending and
   // unregisters; it never touches the TrackingSession itself).
@@ -566,9 +480,9 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
   // flight per session, so no other worker can reach these sessions, and
   // the TrackingSession object itself is only ever touched by the token
   // holder. A track retires — atomically with observing its FIFO empty —
-  // by clearing `scheduled` under its mutex, exactly drain_session's
-  // handoff, after which the next track() submission enqueues a fresh
-  // token (possibly for another worker; this one no longer touches it).
+  // by clearing `scheduled` under its mutex, after which the next track()
+  // submission enqueues a fresh token (possibly for another worker; this
+  // one no longer touches it).
   std::vector<char> active(tracks.size(), 1);
   std::vector<PendingUpdate> updates;
   std::vector<serve::TrackingSession*> sessions;
@@ -589,8 +503,10 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
         PendingUpdate update = std::move(state.pending.front());
         state.pending.pop_front();
         if (update.deadline.has_value() && *update.deadline <= now) {
-          // Expired before its turn: never applied to the track (same
-          // contract as drain_session); its successor gets this round's slot.
+          // Expired before its turn: never applied to the track, so later
+          // updates see the session state without it; its successor gets
+          // this round's slot. Its trace is dropped, not finished — stage
+          // latency describes served requests.
           expire_promise(update.promise, update.cls);
           continue;
         }
@@ -605,76 +521,17 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids,
       }
     }
     if (updates.empty()) break;
-    const std::size_t n = updates.size();
+    // The round's inputs are taken once every pop is done: each update was
+    // admitted to its FIFO before this read, so queue wait never goes
+    // negative.
+    const std::uint64_t taken_ns = obs::Trace::now_ns();
     // Segment pointers only after the round's updates stopped moving.
-    segments.reserve(n);
+    segments.reserve(updates.size());
     for (const PendingUpdate& update : updates) segments.push_back(&update.segment);
-    bool any_traced = false;
-    for (const PendingUpdate& update : updates) {
-      if (update.trace == nullptr) continue;
-      any_traced = true;
-      update.trace->stamp(obs::Mark::kDequeued, dequeued_ns);
-    }
-    const std::uint64_t assembled_ns = obs::Trace::now_ns();
-    if (any_traced) {
-      for (const PendingUpdate& update : updates) {
-        if (update.trace != nullptr) {
-          update.trace->stamp(obs::Mark::kAssembled, assembled_ns);
-        }
-      }
-    }
-    const std::vector<serve::Fix> fixes = imu_->update_sessions(sessions, segments);
-    const Clock::time_point done = Clock::now();  // one read for the round
-    if (any_traced) {
-      const auto done_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              done.time_since_epoch())
-              .count());
-      for (const PendingUpdate& update : updates) {
-        if (update.trace != nullptr) {
-          update.trace->stamp(obs::Mark::kComputed, done_ns);
-        }
-      }
-    }
-    {
-      // One stats lock and one clock read per round, not per update — part
-      // of the per-update overhead coalescing exists to amortize.
-      double wait_sum_us = 0.0;
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++imu_batches_;
-      imu_batch_hist_.record(static_cast<double>(n));
-      assembly_hist_.record(
-          assembled_ns > dequeued_ns ? (assembled_ns - dequeued_ns) / 1000.0 : 0.0);
-      completed_ += n;
-      for (const PendingUpdate& update : updates) {
-        const double wait_us = std::max(
-            0.0, std::chrono::duration<double, std::micro>(now - update.submitted_at)
-                     .count());
-        wait_sum_us += wait_us;
-        queue_wait_hist_.record(wait_us);
-        class_latency_[request_class_index(update.cls)].record(
-            std::chrono::duration<double, std::micro>(done - update.submitted_at)
-                .count());
-      }
-      feed_queue_wait(wait_sum_us / static_cast<double>(n));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      updates[i].promise.set_value(fixes[i]);
-      if (updates[i].trace != nullptr && !updates[i].trace->external_respond) {
-        updates[i].trace->stamp(obs::Mark::kResponded);
-        obs::Tracer::global().finish(*updates[i].trace);
-      }
-    }
+    complete_batch(
+        updates, taken_ns, [&] { return imu_->update_sessions(sessions, segments); },
+        [](const std::vector<serve::Fix>&) {});
   }
-}
-
-void Engine::record_completion(const Clock::time_point& submitted_at,
-                               RequestClass cls, double queue_wait_us) {
-  const double latency_us = us_since(submitted_at);  // clock read outside the lock
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++completed_;
-  if (queue_wait_us >= 0.0) queue_wait_hist_.record(queue_wait_us);
-  class_latency_[request_class_index(cls)].record(latency_us);
 }
 
 }  // namespace noble::engine

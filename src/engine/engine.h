@@ -33,17 +33,16 @@
 // Class and deadline decide *when and whether* a scan runs — never its
 // result: any request that is served is bit-identical to direct inference.
 //
-// Two more admission-control refinements on top of PR 3:
-//  - an optional RSSI-fingerprint -> Fix cache (quantized-key/exact-verify,
-//    bounded sharded LRU — engine/fingerprint_cache.h) answers repeated
-//    scans at submit() without entering the queue;
-//  - an optional adaptive batching window shrinks max_wait toward 0 while
-//    the queue is backlogged (batches fill without waiting) and grows it
-//    back when traffic idles.
+// An optional RSSI-fingerprint -> Fix cache (quantized-key/exact-verify,
+// bounded sharded LRU — engine/fingerprint_cache.h) answers repeated scans
+// at submit() without entering the queue.
 //
 // A session registry multiplexes many concurrent IMU TrackingSessions
 // behind the same worker pool: per-session FIFOs keep each track's updates
-// ordered while different tracks proceed in parallel.
+// ordered while different tracks proceed in parallel. Session updates are
+// served in rounds — one pending update per track, one batched IMU pass per
+// round — and every Wi-Fi micro-batch and every IMU round completes through
+// the same routine (trace stamps, telemetry, promise fulfilment).
 //
 // Telemetry: `stats()` snapshots queue depth, accept/reject/complete
 // counters, the micro-batch-size distribution and end-to-end latency
@@ -162,16 +161,6 @@ struct EngineConfig {
   /// Replica forward path (dense float32 or int8 quantized); ignored by the
   /// backend-injection constructor, which receives a prototype directly.
   BackendKind backend = BackendKind::kDense;
-  /// Load-adaptive batching window: when the queue runs deeper than
-  /// max_batch — or when the measured per-request queue wait (the obs
-  /// queue_wait stage, tracked engine-side as an always-on EWMA) runs past
-  /// twice the current window — halve the wait: batches fill without
-  /// waiting, holding the window open only adds latency. When a pop leaves
-  /// the queue empty, grow it back toward max_wait_us. max_wait_us stays
-  /// the ceiling. The wait signal catches pressure depth alone misses: a
-  /// queue that hovers shallow because workers drain it instantly still
-  /// reads depth 1–2 while requests sit a full window each.
-  bool adaptive_wait = false;
   /// Order the bulk queue lane earliest-deadline-first instead of FIFO
   /// (ties and deadline-less entries break by admission sequence, so
   /// draining stays deterministic). Under a deadline-diverse bulk backlog
@@ -184,8 +173,9 @@ struct EngineConfig {
   /// batched network pass (the session-path analogue of Wi-Fi
   /// micro-batching). The per-session FIFOs still serialize each track and
   /// every module in the IMU path is row-independent, so coalescing
-  /// changes when updates run, never their results. Off = drain tracks one
-  /// at a time (the serialized-per-track baseline the bench compares).
+  /// changes when updates run, never their results. Off = each session
+  /// token drains its own track alone, one update per pass (the
+  /// serialized-per-track baseline the bench compares).
   bool coalesce_sessions = true;
   /// Fingerprint-cache entries at admission control; 0 disables the cache.
   std::size_t cache_capacity = 0;
@@ -224,8 +214,8 @@ struct EngineStats {
   std::uint64_t expired = 0;    ///< deadline-expired requests, both flavors
   std::uint64_t completed = 0;  ///< futures fulfilled (cache hits included)
   std::uint64_t batches = 0;    ///< Wi-Fi micro-batches executed
-  /// Coalesced IMU passes executed (cross-session batches; every session
-  /// update is served by exactly one, of size >= 1).
+  /// IMU passes executed: every served session update is counted in
+  /// exactly one, whether it shared the pass with other tracks or ran alone.
   std::uint64_t imu_batches = 0;
   std::size_t queue_depth = 0;  ///< instantaneous shared-queue depth
   /// Per-class splits of the admission counters and latencies. The totals
@@ -241,15 +231,13 @@ struct EngineStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
   std::size_t cache_entries = 0;  ///< instantaneous resident entries
-  /// Current batching window (== max_wait_us unless adaptive_wait shrank it).
-  std::uint64_t batch_wait_us = 0;
   Histogram batch_size = Histogram::batch_sizes();  ///< Wi-Fi batch sizes
-  /// Cross-session IMU coalescing widths (updates per imu_batch).
+  /// IMU pass widths (updates per imu_batch; 1 = a track served alone).
   Histogram imu_batch_size = Histogram::batch_sizes();
-  /// Measured per-request queue wait (admit -> dequeue) and per-batch
-  /// assembly time (dequeue -> compute start) — the engine-owned, always-on
-  /// counterparts of the obs kQueueWait/kBatchAssembly stages, and the
-  /// signal the adaptive batching window feeds on.
+  /// Measured per-request queue wait (admit -> the batch's inputs taken:
+  /// the pop for Wi-Fi, the round start for IMU) and per-batch assembly
+  /// time (inputs taken -> compute start) — the engine-owned, always-on
+  /// counterparts of the obs kQueueWait/kBatchAssembly stages.
   Histogram queue_wait_us = Histogram::latency_us();
   Histogram assembly_us = Histogram::latency_us();
   Histogram latency_us = Histogram::latency_us();   ///< submit -> fulfilled
@@ -264,8 +252,7 @@ struct EngineStats {
   }
 
   /// Folds another engine's snapshot into this one: counters and gauges
-  /// sum (batch_wait_us takes the max — it is a window, not a count), the
-  /// histograms (total and per-class) merge() bin-wise, and the
+  /// sum, the histograms (total and per-class) merge() bin-wise, and the
   /// convenience percentiles are recomputed from the merged histograms.
   void merge(const EngineStats& other);
 };
@@ -388,25 +375,27 @@ class Engine {
 
   void worker_loop(std::size_t worker_index);
   /// `dequeued_ns` is the batch's single pop timestamp — one clock read
-  /// serves every trace in the batch (kDequeued is a batch-level boundary).
+  /// serves every request in the batch (kDequeued is a batch-level boundary).
   void run_wifi_batch(const WifiBackend& replica, std::vector<WifiRequest> batch,
                       std::uint64_t dequeued_ns);
-  void drain_session(SessionId id, std::uint64_t dequeued_ns);
-  /// Cross-session coalesced drain: takes one pending update per session
-  /// per round and serves each round with a single batched IMU pass
+  /// Serves the pending updates of `ids` in rounds: each round takes one
+  /// live update per track and runs them as one batched IMU pass
   /// (ImuLocalizer::update_sessions). Session locks are taken only to pop
-  /// or retire — never across the batched pass — so producers keep filling
-  /// the per-session FIFOs while the GEMM runs. The one-token-in-flight
-  /// invariant still makes this worker the sole consumer of every track it
-  /// drains, so per-session ordering is exactly drain_session's.
-  void drain_sessions(const std::vector<SessionId>& ids, std::uint64_t dequeued_ns);
-  /// `queue_wait_us` < 0 means "never queued" (cache hits) — no wait sample.
-  void record_completion(const Clock::time_point& submitted_at, RequestClass cls,
-                         double queue_wait_us = -1.0);
-  /// Folds one batch's mean measured queue wait into the EWMA the adaptive
-  /// window controller reads.
-  void feed_queue_wait(double mean_wait_us);
-  void adapt_batch_window(std::uint64_t used_wait_us);
+  /// or retire — never across the pass — so producers keep filling the
+  /// per-session FIFOs while the GEMM runs. The one-token-in-flight
+  /// invariant makes this worker the sole consumer of every track it
+  /// drains. Called once per pop with every token under coalescing, and
+  /// once per token with `coalesce_sessions` off.
+  void drain_sessions(const std::vector<SessionId>& ids);
+  /// The one completion path for Wi-Fi micro-batches and IMU rounds.
+  /// Stamps kDequeued (at `taken_ns`, the instant the batch's inputs were
+  /// taken) and kAssembled, runs `compute` (-> one Fix per ticket), stamps
+  /// kComputed, records the batch under one stats_mu_ hold, hands the fixes
+  /// to `publish` (the Wi-Fi cache fill) and only then fulfils the promises
+  /// and finishes the traces. Defined in engine.cpp, its only user.
+  template <typename Ticket, typename Compute, typename Publish>
+  void complete_batch(std::vector<Ticket>& tickets, std::uint64_t taken_ns,
+                      Compute&& compute, Publish&& publish);
   /// Resolves the effective deadline: explicit > engine default > none.
   std::optional<Clock::time_point> resolve_deadline(const SubmitOptions& options,
                                                     const Clock::time_point& now) const;
@@ -418,13 +407,6 @@ class Engine {
   std::optional<serve::ImuLocalizer> imu_;
   BoundedQueue<Request> queue_;
   std::optional<FingerprintCache> cache_;  ///< engaged iff cache_capacity > 0
-  /// Current adaptive batching window; workers race benignly on it (it is a
-  /// relaxed gauge, and any stored value is a valid window).
-  std::atomic<std::uint64_t> batch_wait_us_;
-  /// EWMA (alpha 1/4) of the measured per-request queue wait in us — the
-  /// obs queue_wait stage signal fed back into adapt_batch_window. Relaxed
-  /// gauge like batch_wait_us_: any stored value is a valid signal.
-  std::atomic<std::uint64_t> ewma_queue_wait_us_{0};
 
   /// Admission counters are obs::Counter (thread-striped atomics): many
   /// submitter threads increment without sharing a cache line, and the

@@ -1,5 +1,5 @@
 // World builders: synthetic campuses with the structural properties of the
-// paper's testbeds (see DESIGN.md substitution table).
+// paper's testbeds (see README "Benchmarks and examples").
 //
 //  * make_uji_like_campus(): three multi-floor buildings with inaccessible
 //    courtyards in a 397 m x 273 m frame (UJIIndoorLoc, Fig. 1).

@@ -15,7 +15,8 @@ namespace noble::sim {
 struct PathConfig {
   /// Readings each inter-reference window is resampled to. The paper records
   /// 768 raw readings per window; the default resamples to 32 for single-core
-  /// tractability (see DESIGN.md) — raise via NOBLE_IMU_READINGS to match.
+  /// tractability (see README "Benchmarks and examples") — raise via
+  /// NOBLE_IMU_READINGS to match.
   std::size_t readings_per_segment = 32;
   /// Maximum path length in reference hops (paper: < 50).
   std::size_t max_segments = 50;

@@ -657,49 +657,6 @@ TEST(EngineCache, EvictionBoundsResidencyAndKeepsCorrectness) {
   EXPECT_EQ(stats.cache_hits, 1u);  // only the resident re-submission hit
 }
 
-// ---------------------------------------------------------------------------
-// Adaptive batching window.
-// ---------------------------------------------------------------------------
-
-TEST(EngineAdaptive, WindowShrinksUnderBacklogAndGrowsBackWhenIdle) {
-  const auto& localizer = reference_localizer();
-  const auto queries = query_pool(16);
-  ASSERT_FALSE(queries.empty());
-  EngineConfig cfg;
-  cfg.workers = 1;
-  cfg.max_batch = 4;
-  cfg.max_wait_us = 2000;
-  cfg.queue_cap = 8192;
-  cfg.adaptive_wait = true;
-  Engine engine(localizer, cfg);
-  EXPECT_EQ(engine.stats().batch_wait_us, cfg.max_wait_us);
-
-  // Backlog phase: flood far past max_batch; workers must observe the deep
-  // queue and halve the window. Retried because a fast worker on a loaded
-  // host could in principle keep the queue shallow for one round.
-  bool shrank = false;
-  for (int round = 0; round < 5 && !shrank; ++round) {
-    std::vector<std::future<serve::Fix>> inflight;
-    inflight.reserve(512);
-    for (int r = 0; r < 512; ++r) {
-      Submission s = engine.submit(queries[static_cast<std::size_t>(r) % queries.size()]);
-      if (s.accepted()) inflight.push_back(std::move(s.result));
-    }
-    for (auto& f : inflight) (void)f.get();
-    shrank = engine.stats().batch_wait_us < cfg.max_wait_us;
-  }
-  EXPECT_TRUE(shrank);
-
-  // Idle phase: one request at a time leaves the queue empty after every
-  // pop, so the window doubles back up to (and never past) the ceiling.
-  for (int r = 0; r < 64 && engine.stats().batch_wait_us < cfg.max_wait_us; ++r) {
-    Submission s = engine.submit(queries[0]);
-    ASSERT_TRUE(s.accepted());
-    (void)s.result.get();
-  }
-  EXPECT_EQ(engine.stats().batch_wait_us, cfg.max_wait_us);
-}
-
 TEST(EngineSessions, RegistryRejectsBadHandlesAndDimensions) {
   const auto& wf = engine_fixture();
   const auto& imf = imu_engine_fixture();
