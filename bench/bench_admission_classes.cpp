@@ -100,25 +100,34 @@ int main() {
   bench::EnvConfig env;
   const engine::EngineConfig cfg = env.engine(defaults);
   const auto engines_per_shard =
-      static_cast<std::size_t>(env_int("NOBLE_FLEET_ENGINES", 1));
+      static_cast<std::size_t>(env.integer("NOBLE_FLEET_ENGINES", 1));
 
   bench::MixedLoadConfig load;
   load.interactive_clients = static_cast<std::size_t>(
-      env_int("NOBLE_ADMISSION_INTERACTIVE_CLIENTS", 2));
+      env.integer("NOBLE_ADMISSION_INTERACTIVE_CLIENTS", 2));
   load.bulk_clients =
-      static_cast<std::size_t>(env_int("NOBLE_ADMISSION_BULK_CLIENTS", 2));
+      static_cast<std::size_t>(env.integer("NOBLE_ADMISSION_BULK_CLIENTS", 2));
   // The 384-per-client floor keeps the p99 gate statistically meaningful
   // even at smoke scale: with 2 clients the comparison rests on ~768
   // samples per phase, not a handful a scheduler hiccup could flip.
   load.interactive_requests = static_cast<std::size_t>(
-      env_int("NOBLE_ADMISSION_REQUESTS", static_cast<long>(scaled(1000, 384))));
+      env.integer("NOBLE_ADMISSION_REQUESTS", static_cast<long>(scaled(1000, 384))));
   load.bulk_requests = 4 * load.interactive_requests;
   load.interactive_pace_us =
-      static_cast<std::uint64_t>(env_int("NOBLE_ADMISSION_PACE_US", 200));
+      static_cast<std::uint64_t>(env.integer("NOBLE_ADMISSION_PACE_US", 200));
   load.bulk_deadline_us = static_cast<std::uint64_t>(
-      env_int("NOBLE_ADMISSION_BULK_DEADLINE_US", 5000));
+      env.integer("NOBLE_ADMISSION_BULK_DEADLINE_US", 5000));
   load.bulk_inflight_window = 256;  // flood, do not self-throttle
   load.bulk_sustain = true;  // keep flooding until the interactive run ends
+  // Later phases' knobs, read here so the banner lists them too.
+  const auto backlog = static_cast<std::size_t>(
+      env.integer("NOBLE_GOODPUT_BACKLOG", static_cast<long>(scaled(4096, 512))));
+  const auto sessions_n = static_cast<std::size_t>(
+      std::max<long>(env.integer("NOBLE_COALESCE_SESSIONS", 8), 2));
+  const auto updates_per_session = static_cast<std::size_t>(
+      env.integer("NOBLE_COALESCE_UPDATES", static_cast<long>(scaled(1000, 240))));
+  const auto coalesce_window = static_cast<std::size_t>(
+      std::max<long>(env.integer("NOBLE_COALESCE_WINDOW", 2), 1));
 
   const std::string key = "campus";
   const std::vector<std::string> keys{key};
@@ -210,9 +219,6 @@ int main() {
     std::uint64_t interactive_mismatches = 0;
     double wall_seconds = 0.0;
   };
-
-  const auto backlog = static_cast<std::size_t>(
-      env_int("NOBLE_GOODPUT_BACKLOG", static_cast<long>(scaled(4096, 512))));
 
   // One drain of the whole deadline-diverse backlog through a one-worker
   // engine. `deadlines_us` supplies each submission's budget (empty = no
@@ -325,13 +331,6 @@ int main() {
     std::uint64_t mismatches = 0;
     std::uint64_t imu_batches = 0;  ///< IMU passes, lone tracks included
   };
-
-  const auto sessions_n = static_cast<std::size_t>(
-      std::max<long>(env_int("NOBLE_COALESCE_SESSIONS", 8), 2));
-  const auto updates_per_session = static_cast<std::size_t>(
-      env_int("NOBLE_COALESCE_UPDATES", static_cast<long>(scaled(1000, 240))));
-  const auto coalesce_window = static_cast<std::size_t>(
-      std::max<long>(env_int("NOBLE_COALESCE_WINDOW", 2), 1));
 
   // Model quality is irrelevant to this phase — every gate is throughput
   // or bit-identity — so a few epochs keep the fit cheap at any scale.

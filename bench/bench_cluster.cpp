@@ -63,17 +63,17 @@ struct Workload {
 
 /// Deterministic from the seeds: the driver and the --node child rebuild
 /// the same v1 model (and the driver alone retrains v2 for the rollout).
-Workload build_workload() {
+Workload build_workload(std::size_t epochs) {
   using namespace noble;
   core::WifiExperimentConfig exp_cfg;
   exp_cfg.total_samples = 1200;
   exp_cfg.seed = 917;
   core::WifiExperiment exp = core::make_uji_experiment(exp_cfg);
-  auto model_config = [](std::uint64_t seed) {
+  auto model_config = [epochs](std::uint64_t seed) {
     core::NobleWifiConfig cfg;
     cfg.quantize.tau = 6.0;
     cfg.quantize.coarse_l = 24.0;
-    cfg.epochs = static_cast<std::size_t>(env_int("NOBLE_EPOCHS", 5));
+    cfg.epochs = epochs;
     cfg.hidden_units = 24;
     cfg.seed = seed;
     return cfg;
@@ -166,11 +166,12 @@ FloodReport flood_bulk(noble::cluster::NodeAgent& agent, const Workload& load,
 
 int run_node_mode(std::uint16_t coordinator_port) {
   using namespace noble;
-  const Workload load = build_workload();
+  bench::EnvConfig env;
+  const Workload load =
+      build_workload(static_cast<std::size_t>(env.integer("NOBLE_EPOCHS", 5)));
   fleet::Router router;
   router.add_shard(shard_config(/*queue_cap=*/512, /*bulk_cap=*/0), load.wifi_v1);
 
-  bench::EnvConfig env;
   cluster::NodeConfig defaults;
   defaults.name = "node-b";
   defaults.heartbeat_ms = 50;
@@ -223,10 +224,11 @@ int main(int argc, char** argv) {
   node_defaults.name = "node-a";
   node_defaults.heartbeat_ms = 50;
   cluster::NodeConfig node_cfg = env.cluster_node(node_defaults);
+  const auto epochs = static_cast<std::size_t>(env.integer("NOBLE_EPOCHS", 5));
   std::printf("knobs:\n%s\n", env.describe().c_str());
 
   std::printf("training (deterministic: the child rebuilds the same models)...\n");
-  const Workload load = build_workload();
+  const Workload load = build_workload(epochs);
   if (load.queries.size() < 8) {
     std::printf("no test queries at this scale; nothing to do\n");
     return 1;

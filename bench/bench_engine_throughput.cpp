@@ -106,7 +106,7 @@ int main() {
   bench::EnvConfig env;
   const engine::EngineConfig cfg = env.engine(defaults);
   const auto per_client = static_cast<std::size_t>(
-      env_int("NOBLE_ENGINE_REQUESTS", static_cast<long>(scaled(4000, 256))));
+      env.integer("NOBLE_ENGINE_REQUESTS", static_cast<long>(scaled(4000, 256))));
 
   std::printf("localizer: %zu APs, %zu test queries\nconfig:\n%s\n",
               localizer.num_aps(), queries.size(), env.describe().c_str());

@@ -94,12 +94,13 @@ int main() {
   bench::EnvConfig env;
   const engine::EngineConfig cfg = env.engine(defaults);
   const auto num_shards =
-      static_cast<std::size_t>(env_int("NOBLE_FLEET_SHARDS", 2));
+      static_cast<std::size_t>(env.integer("NOBLE_FLEET_SHARDS", 2));
   const auto engines_per_shard =
-      static_cast<std::size_t>(env_int("NOBLE_FLEET_ENGINES", 1));
-  const auto clients = static_cast<std::size_t>(env_int("NOBLE_FLEET_CLIENTS", 4));
+      static_cast<std::size_t>(env.integer("NOBLE_FLEET_ENGINES", 1));
+  const auto clients = static_cast<std::size_t>(env.integer("NOBLE_FLEET_CLIENTS", 4));
   const auto per_client = static_cast<std::size_t>(
-      env_int("NOBLE_FLEET_REQUESTS", static_cast<long>(scaled(2000, 128))));
+      env.integer("NOBLE_FLEET_REQUESTS", static_cast<long>(scaled(2000, 128))));
+  const auto distinct = static_cast<std::size_t>(env.integer("NOBLE_FLEET_DISTINCT", 64));
 
   const std::vector<std::string> keys = make_shard_keys(num_shards);
   std::printf("fleet: %zu shards x %zu engines\nconfig:\n%s", num_shards,
@@ -147,8 +148,6 @@ int main() {
   }
 
   // Phase 2: repeated-scan workload, cache off vs on.
-  const auto distinct = static_cast<std::size_t>(
-      env_int("NOBLE_FLEET_DISTINCT", 64));
   std::vector<serve::RssiVector> pool(
       queries.begin(),
       queries.begin() + static_cast<std::ptrdiff_t>(std::min(distinct, queries.size())));

@@ -73,7 +73,7 @@ struct Workload {
 
 /// Deterministic training for every mode: a --serve process and a remote
 /// driver build the same models and query pool from the same seeds.
-Workload build_workload() {
+Workload build_workload(std::size_t epochs) {
   using namespace noble;
   core::WifiExperimentConfig wifi_config;
   wifi_config.total_samples = 3000;
@@ -82,7 +82,7 @@ Workload build_workload() {
   core::NobleWifiConfig wifi_model_config;
   wifi_model_config.quantize.tau = 3.0;
   wifi_model_config.quantize.coarse_l = 15.0;
-  wifi_model_config.epochs = static_cast<std::size_t>(env_int("NOBLE_EPOCHS", 10));
+  wifi_model_config.epochs = epochs;
   core::NobleWifiModel wifi_model(wifi_model_config);
   wifi_model.fit(wifi_exp.split.train, &wifi_exp.split.val);
 
@@ -455,6 +455,8 @@ int main(int argc, char** argv) {
   const gateway::GatewayConfig gw_cfg = env.gateway();
   const bench::OpenLoopConfig load_cfg = env.open_loop({});
   const auto max_steps = static_cast<std::size_t>(env.integer("NOBLE_LOAD_STEPS", 6));
+  const auto epochs = static_cast<std::size_t>(env.integer("NOBLE_EPOCHS", 10));
+  const std::string addr = env.text("NOBLE_GATEWAY_ADDR", "");
   std::printf("config:\n%s", env.describe().c_str());
   std::printf("load mix: %.0f%% bulk (deadline %llu us) / %.0f%% session over %zu "
               "sessions, %zu settlers\n\n",
@@ -463,7 +465,7 @@ int main(int argc, char** argv) {
               100.0 * load_cfg.session_fraction, load_cfg.sessions, load_cfg.settlers);
 
   std::printf("training (deterministic: every mode rebuilds the same models)...\n");
-  const Workload load = build_workload();
+  const Workload load = build_workload(epochs);
   std::printf("workload: %zu scans, %zu imu segments, %zu session anchors\n\n",
               load.queries.size(), load.segments.size(), load.session_starts.size());
   if (load.queries.empty()) {
@@ -491,7 +493,6 @@ int main(int argc, char** argv) {
   }
 
   // Remote-drive: NOBLE_GATEWAY_ADDR=host:port, no local server.
-  const std::string addr = env_string("NOBLE_GATEWAY_ADDR", "");
   if (!addr.empty()) {
     const std::size_t colon = addr.rfind(':');
     if (colon == std::string::npos) {

@@ -199,13 +199,8 @@ bool NodeAgent::has_shard(std::string_view shard_key) const {
   return router_.has_shard(shard_key);
 }
 
-fleet::FleetStats NodeAgent::stats() const { return router_.stats(); }
-
-std::vector<fleet::ShardDepths> NodeAgent::queue_depths() const {
-  return router_.queue_depths();
-}
-
-void NodeAgent::splice_metrics(obs::MetricsSnapshot& out) const {
+void NodeAgent::metrics(obs::MetricsSnapshot& out) const {
+  router_.metrics(out);
   const obs::Labels labels{{"node", config_.name}};
   out.counter("noble_cluster_heartbeats_sent_total", heartbeats_sent_.value(), labels);
   out.counter("noble_cluster_membership_updates_total", membership_updates_.value(),

@@ -66,7 +66,7 @@ struct NodeConfig {
   bool spill_enabled = true;
 };
 
-/// Node-side cluster counters (monotonic; exposed via splice_metrics).
+/// Node-side cluster counters (monotonic; scraped through metrics()).
 struct NodeCounters {
   std::uint64_t heartbeats_sent = 0;
   std::uint64_t membership_updates = 0;
@@ -106,9 +106,8 @@ class NodeAgent final : public fleet::Routing, private net::FrameHandler {
                            const engine::SubmitOptions& options = {}) override;
   bool close_session(const fleet::FleetSession& session) override;
   bool has_shard(std::string_view shard_key) const override;
-  fleet::FleetStats stats() const override;
-  std::vector<fleet::ShardDepths> queue_depths() const override;
-  void splice_metrics(obs::MetricsSnapshot& out) const override;
+  /// The router's noble_fleet_* samples, then this node's noble_cluster_*.
+  void metrics(obs::MetricsSnapshot& out) const override;
 
   NodeCounters counters() const;
   /// Latest membership view from the coordinator (self included).

@@ -5,8 +5,9 @@
 // its own mutex, recency list and capacity slice, so concurrent lookups from
 // many client threads contend only when they collide on a shard. Eviction is
 // per-shard LRU. Hit/miss/eviction counters are kept under the shard locks
-// and summed on `stats()`, matching the snapshot-style telemetry of
-// noble::engine::EngineStats.
+// and summed on `stats()`. The engine's telemetry reads only `evictions`
+// and `entries` from there: it counts fingerprint-cache hits and misses
+// itself, at admission, so a rejected-and-retried scan is not a miss.
 //
 // `get` returns a copy of the value: entries stay owned by the cache and can
 // be evicted by a concurrent `put` at any moment, so handing out references

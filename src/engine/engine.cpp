@@ -90,7 +90,6 @@ void Engine::expire_promise(std::promise<serve::Fix>& promise, RequestClass cls)
 Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& options) {
   const std::size_t cls = request_class_index(options.request_class);
   if (rssi.size() != num_aps()) {
-    rejected_.inc();
     class_rejected_[cls].inc();
     return {SubmitStatus::kBadDimension, {}};
   }
@@ -106,13 +105,12 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
   if (cached) {
     if (std::optional<serve::Fix> hit = cache_->get(rssi)) {
       // Admission-control fast path: answered without touching the queue.
-      // Counted like any other request (submitted/completed/latency) so the
-      // stats invariants hold with the cache on — but never as a batch and
-      // without a queue-wait sample: it was never queued. One short
+      // Counted like any other request (accepted, then a latency sample) so
+      // the stats invariants hold with the cache on — but never as a batch
+      // and without a queue-wait sample: it was never queued. One short
       // stats_mu_ hold; the promise/future machinery dominates the hit cost.
       std::promise<serve::Fix> promise;
       std::future<serve::Fix> result = promise.get_future();
-      submitted_.inc();
       class_accepted_[cls].inc();
       cache_hits_.inc();
       if (options.trace != nullptr) {
@@ -129,7 +127,6 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
           std::chrono::duration<double, std::micro>(Clock::now() - submitted_at).count();
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
-        ++completed_;
         class_latency_[cls].record(latency_us);
       }
       if (options.trace != nullptr && !options.trace->external_respond) {
@@ -145,7 +142,6 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
   // Counted before the push: once the queue has the request a worker may
   // complete it immediately, and stats() must never observe
   // completed > submitted.
-  submitted_.inc();
   class_accepted_[cls].inc();
   // Stamped before the push: after it, a worker may already own the trace
   // (the queue handoff is the happens-before edge for the later marks).
@@ -153,9 +149,7 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
   const PushResult pushed =
       queue_.try_push(Request{std::move(request)}, options.request_class, deadline);
   if (pushed != PushResult::kOk) {
-    submitted_.sub();
     class_accepted_[cls].sub();
-    rejected_.inc();
     class_rejected_[cls].inc();
     return {pushed == PushResult::kClosed ? SubmitStatus::kStopped
                                           : SubmitStatus::kQueueFull,
@@ -186,12 +180,10 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
     if (it != sessions_.end()) state = it->second;
   }
   if (state == nullptr) {
-    rejected_.inc();
     class_rejected_[cls].inc();
     return {SubmitStatus::kNoSession, {}};
   }
   if (segment.size() != imu_->segment_dim()) {
-    rejected_.inc();
     class_rejected_[cls].inc();
     return {SubmitStatus::kBadDimension, {}};
   }
@@ -205,12 +197,10 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
 
   std::lock_guard<std::mutex> lock(state->mu);
   if (state->closed) {
-    rejected_.inc();
     class_rejected_[cls].inc();
     return {SubmitStatus::kNoSession, {}};
   }
   if (state->pending.size() >= config_.session_backlog) {
-    rejected_.inc();
     class_rejected_[cls].inc();
     return {SubmitStatus::kQueueFull, {}};
   }
@@ -220,7 +210,6 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
   // Same ordering as submit(): count before the work can become visible to
   // a worker, roll back on rejection. Admission for a session update means
   // entering its FIFO (the session mutex is the handoff edge).
-  submitted_.inc();
   class_accepted_[cls].inc();
   if (options.trace != nullptr) options.trace->stamp(obs::Mark::kAdmitted);
   state->pending.push_back(std::move(update));
@@ -232,9 +221,7 @@ Submission Engine::track(SessionId session, serve::ImuSegment segment,
         queue_.try_push(Request{SessionWork{session}}, options.request_class);
     if (pushed != PushResult::kOk) {
       state->pending.pop_back();
-      submitted_.sub();
       class_accepted_[cls].sub();
-      rejected_.inc();
       class_rejected_[cls].inc();
       return {pushed == PushResult::kClosed ? SubmitStatus::kStopped
                                             : SubmitStatus::kQueueFull,
@@ -268,9 +255,6 @@ EngineStats Engine::stats() const {
   EngineStats snapshot;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    snapshot.completed = completed_;
-    snapshot.batches = batches_;
-    snapshot.imu_batches = imu_batches_;
     snapshot.batch_size = batch_hist_;
     snapshot.imu_batch_size = imu_batch_hist_;
     snapshot.queue_wait_us = queue_wait_hist_;
@@ -278,24 +262,17 @@ EngineStats Engine::stats() const {
     snapshot.interactive.latency_us = class_latency_[0];
     snapshot.bulk.latency_us = class_latency_[1];
   }
-  // The total latency view is exactly the per-class histograms merged —
-  // every completion is recorded in exactly one class.
-  snapshot.latency_us = snapshot.interactive.latency_us;
-  snapshot.latency_us.merge(snapshot.bulk.latency_us);
-  // Read after completed_: every completion was counted in submitted_
-  // first, so this order keeps submitted >= completed in the snapshot.
-  snapshot.submitted = submitted_.value();
-  snapshot.rejected = rejected_.value();
-  snapshot.interactive.accepted = class_accepted_[0].value();
-  snapshot.interactive.rejected = class_rejected_[0].value();
-  snapshot.interactive.expired = class_expired_[0].value();
-  snapshot.bulk.accepted = class_accepted_[1].value();
-  snapshot.bulk.rejected = class_rejected_[1].value();
-  snapshot.bulk.expired = class_expired_[1].value();
-  snapshot.expired = snapshot.interactive.expired + snapshot.bulk.expired;
-  snapshot.queue_depth = queue_.depth();
-  snapshot.interactive.queue_depth = queue_.depth(RequestClass::kInteractive);
-  snapshot.bulk.queue_depth = queue_.depth(RequestClass::kBulk);
+  // The admission counters are read after the histograms: every completion
+  // was counted as accepted first, so this order keeps the derived
+  // submitted >= completed in the snapshot.
+  for (const RequestClass cls : {RequestClass::kInteractive, RequestClass::kBulk}) {
+    ClassStats& cs = cls == RequestClass::kInteractive ? snapshot.interactive : snapshot.bulk;
+    const std::size_t i = request_class_index(cls);
+    cs.accepted = class_accepted_[i].value();
+    cs.rejected = class_rejected_[i].value();
+    cs.expired = class_expired_[i].value();
+    cs.queue_depth = queue_.depth(cls);
+  }
   if (cache_.has_value()) {
     const CacheStats cache = cache_->stats();
     snapshot.cache_hits = cache_hits_.value();
@@ -303,32 +280,40 @@ EngineStats Engine::stats() const {
     snapshot.cache_evictions = cache.evictions;
     snapshot.cache_entries = cache.entries;
   }
-  const LatencySummary total = summarize_latency_us(snapshot.latency_us);
-  snapshot.latency_p50_us = total.p50_us;
-  snapshot.latency_p95_us = total.p95_us;
-  snapshot.latency_p99_us = total.p99_us;
-  snapshot.interactive.latency = summarize_latency_us(snapshot.interactive.latency_us);
-  snapshot.bulk.latency = summarize_latency_us(snapshot.bulk.latency_us);
+  snapshot.derive();
   return snapshot;
 }
 
-void ClassStats::merge(const ClassStats& other) {
-  accepted += other.accepted;
-  rejected += other.rejected;
-  expired += other.expired;
-  queue_depth += other.queue_depth;
-  latency_us.merge(other.latency_us);
-  latency = summarize_latency_us(latency_us);
+void EngineStats::derive() {
+  submitted = interactive.accepted + bulk.accepted;
+  rejected = interactive.rejected + bulk.rejected;
+  expired = interactive.expired + bulk.expired;
+  queue_depth = interactive.queue_depth + bulk.queue_depth;
+  // Every completion is recorded in exactly one class histogram and every
+  // batch in exactly one width histogram, so their counts are the totals.
+  latency_us = interactive.latency_us;
+  latency_us.merge(bulk.latency_us);
+  completed = latency_us.count();
+  batches = batch_size.count();
+  imu_batches = imu_batch_size.count();
+  const LatencySummary total = summarize_latency_us(latency_us);
+  latency_p50_us = total.p50_us;
+  latency_p95_us = total.p95_us;
+  latency_p99_us = total.p99_us;
+  interactive.latency = summarize_latency_us(interactive.latency_us);
+  bulk.latency = summarize_latency_us(bulk.latency_us);
 }
 
 void EngineStats::merge(const EngineStats& other) {
-  submitted += other.submitted;
-  rejected += other.rejected;
-  expired += other.expired;
-  completed += other.completed;
-  batches += other.batches;
-  imu_batches += other.imu_batches;
-  queue_depth += other.queue_depth;
+  for (const RequestClass cls : {RequestClass::kInteractive, RequestClass::kBulk}) {
+    ClassStats& into = cls == RequestClass::kInteractive ? interactive : bulk;
+    const ClassStats& from = other.for_class(cls);
+    into.accepted += from.accepted;
+    into.rejected += from.rejected;
+    into.expired += from.expired;
+    into.queue_depth += from.queue_depth;
+    into.latency_us.merge(from.latency_us);
+  }
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
   cache_evictions += other.cache_evictions;
@@ -337,13 +322,7 @@ void EngineStats::merge(const EngineStats& other) {
   imu_batch_size.merge(other.imu_batch_size);
   queue_wait_us.merge(other.queue_wait_us);
   assembly_us.merge(other.assembly_us);
-  latency_us.merge(other.latency_us);
-  interactive.merge(other.interactive);
-  bulk.merge(other.bulk);
-  const LatencySummary total = summarize_latency_us(latency_us);
-  latency_p50_us = total.p50_us;
-  latency_p95_us = total.p95_us;
-  latency_p99_us = total.p99_us;
+  derive();
 }
 
 void Engine::worker_loop(std::size_t worker_index) {
@@ -415,10 +394,8 @@ void Engine::complete_batch(std::vector<Ticket>& tickets, std::uint64_t taken_ns
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++(kImu ? imu_batches_ : batches_);
     (kImu ? imu_batch_hist_ : batch_hist_).record(static_cast<double>(tickets.size()));
     assembly_hist_.record(us_between(taken_ns, assembled_ns));
-    completed_ += tickets.size();
     for (const Ticket& ticket : tickets) {
       queue_wait_hist_.record(us_between(ns_of(ticket.submitted_at), taken_ns));
       class_latency_[request_class_index(ticket.cls)].record(

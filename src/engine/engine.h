@@ -44,9 +44,10 @@
 // round — and every Wi-Fi micro-batch and every IMU round completes through
 // the same routine (trace stamps, telemetry, promise fulfilment).
 //
-// Telemetry: `stats()` snapshots queue depth, accept/reject/complete
-// counters, the micro-batch-size distribution and end-to-end latency
-// percentiles, all built on noble::Histogram.
+// Telemetry: `stats()` snapshots the per-class admission counters and lane
+// depths, the micro-batch-size and stage distributions and the per-class
+// latency histograms (all noble::Histogram); every total it reports is
+// derived from those, so each event is recorded exactly once.
 #ifndef NOBLE_ENGINE_ENGINE_H_
 #define NOBLE_ENGINE_ENGINE_H_
 
@@ -186,29 +187,32 @@ struct EngineConfig {
   double cache_key_step_db = 1.0;
 };
 
-/// Per-class admission/latency telemetry. Merge()-able like everything
-/// else in EngineStats, so fleet views report interactive and bulk
-/// behavior separately.
+/// Per-class admission/latency telemetry, so fleet views report interactive
+/// and bulk behavior separately. Every field but `latency` is recorded;
+/// `latency` is derived by EngineStats::derive().
 struct ClassStats {
   std::uint64_t accepted = 0;  ///< admitted (queued or served from cache)
   std::uint64_t rejected = 0;  ///< kQueueFull/kBadDimension/kStopped verdicts
   std::uint64_t expired = 0;   ///< kExpired at submit + DeadlineExpired futures
-  /// Instantaneous depth of this class's queue lane — the split of
-  /// EngineStats::queue_depth the Router's bulk spill and the obs labeled
-  /// depth gauges read.
+  /// Instantaneous depth of this class's queue lane; EngineStats::queue_depth
+  /// is the sum of the two lanes.
   std::size_t queue_depth = 0;
   Histogram latency_us = Histogram::latency_us();  ///< submit -> fulfilled
-  /// p50/p95/p99 extracted from latency_us at snapshot/merge time.
+  /// p50/p95/p99 of latency_us.
   LatencySummary latency;
-
-  /// Counters sum, histograms merge() bin-wise, percentiles recompute.
-  void merge(const ClassStats& other);
 };
 
 /// Telemetry snapshot. Histograms share noble::Histogram's fixed layouts,
 /// so snapshots from several engines can be merge()d for fleet views —
 /// that is exactly what fleet::Router::stats() does.
+///
+/// Two kinds of field: *recorded* ones (the per-class splits, the cache
+/// counters and the batch/stage histograms) come from the engine's
+/// instruments; *derived* ones (the totals, `latency_us` and the
+/// percentiles) are filled from the recorded ones by derive() — the one
+/// routine both Engine::stats() and merge() end with.
 struct EngineStats {
+  // --- derived ------------------------------------------------------------
   std::uint64_t submitted = 0;  ///< accepted (queued or served from cache)
   std::uint64_t rejected = 0;   ///< non-kAccepted submissions (kExpired aside)
   std::uint64_t expired = 0;    ///< deadline-expired requests, both flavors
@@ -217,9 +221,9 @@ struct EngineStats {
   /// IMU passes executed: every served session update is counted in
   /// exactly one, whether it shared the pass with other tracks or ran alone.
   std::uint64_t imu_batches = 0;
-  std::size_t queue_depth = 0;  ///< instantaneous shared-queue depth
-  /// Per-class splits of the admission counters and latencies. The totals
-  /// above are exactly interactive + bulk (latency_us is their merge).
+  std::size_t queue_depth = 0;  ///< instantaneous depth, both lanes
+  // --- recorded -----------------------------------------------------------
+  /// Per-class splits: the totals above are exactly interactive + bulk.
   ClassStats interactive;
   ClassStats bulk;
   /// Fingerprint-cache counters (all zero when the cache is disabled).
@@ -240,8 +244,8 @@ struct EngineStats {
   /// counterparts of the obs kQueueWait/kBatchAssembly stages.
   Histogram queue_wait_us = Histogram::latency_us();
   Histogram assembly_us = Histogram::latency_us();
-  Histogram latency_us = Histogram::latency_us();   ///< submit -> fulfilled
-  /// Convenience percentiles extracted from latency_us at snapshot time.
+  // --- derived ------------------------------------------------------------
+  Histogram latency_us = Histogram::latency_us();  ///< both classes' latencies
   double latency_p50_us = 0.0;
   double latency_p95_us = 0.0;
   double latency_p99_us = 0.0;
@@ -251,9 +255,13 @@ struct EngineStats {
     return cls == RequestClass::kInteractive ? interactive : bulk;
   }
 
-  /// Folds another engine's snapshot into this one: counters and gauges
-  /// sum, the histograms (total and per-class) merge() bin-wise, and the
-  /// convenience percentiles are recomputed from the merged histograms.
+  /// Fills every derived field from the recorded ones: the totals are the
+  /// class sums, `completed`/`batches`/`imu_batches` the counts of the
+  /// latency and batch-width histograms, the percentiles their summaries.
+  void derive();
+
+  /// Folds another engine's snapshot into this one: recorded counters and
+  /// gauges sum, recorded histograms merge() bin-wise, then derive().
   void merge(const EngineStats& other);
 };
 
@@ -324,13 +332,10 @@ class Engine {
   EngineStats stats() const;
 
   const EngineConfig& config() const { return config_; }
-  /// Instantaneous shared-queue depth — the cheap load signal the fleet
-  /// router's queue-depth-weighted bulk spill reads (stats() copies whole
-  /// histograms; this takes one queue lock).
-  std::size_t queue_depth() const { return queue_.depth(); }
-  /// Per-class lane depth: what a spilling bulk sweep actually competes
-  /// with is the *bulk* lane, not interactive traffic that outranks it
-  /// everywhere anyway. Same cost as queue_depth() — one queue lock.
+  /// Instantaneous depth of one class's queue lane — the cheap load signal
+  /// the fleet router's depth pass reads (stats() copies whole histograms;
+  /// this takes one queue lock). A spilling bulk sweep competes with the
+  /// *bulk* lane, not interactive traffic that outranks it everywhere.
   std::size_t queue_depth(RequestClass cls) const { return queue_.depth(cls); }
   std::size_t num_aps() const { return replicas_.front()->input_dim(); }
   /// Name of the backend the worker replicas run ("dense", "quantized", or
@@ -409,34 +414,28 @@ class Engine {
   std::optional<FingerprintCache> cache_;  ///< engaged iff cache_capacity > 0
 
   /// Admission counters are obs::Counter (thread-striped atomics): many
-  /// submitter threads increment without sharing a cache line, and the
-  /// EngineStats snapshot stays exactly what it was — a struct *view* over
-  /// the instruments, folded at stats() time.
-  obs::Counter submitted_;
-  obs::Counter rejected_;
-  /// Per-class admission counters, indexed by class_index().
+  /// submitter threads increment without sharing a cache line. Indexed by
+  /// request_class_index(); the EngineStats totals are derived from them.
   obs::Counter class_accepted_[kNumRequestClasses];
   obs::Counter class_rejected_[kNumRequestClasses];
   obs::Counter class_expired_[kNumRequestClasses];
   /// Cache admission outcomes, engine-owned rather than read from the
   /// cache's own counters: a miss is only counted once the Wi-Fi scan is
   /// actually admitted to the queue, so kQueueFull retry loops cannot
-  /// deflate the hit rate. (IMU updates count in submitted_ only — they
-  /// are stateful and never cached.)
+  /// deflate the hit rate. (IMU updates are stateful and never cached.)
   obs::Counter cache_hits_;
   obs::Counter cache_misses_;
-  mutable std::mutex stats_mu_;  ///< guards the fields below
+  /// Guards the histograms below. Their counts are the completed/batches/
+  /// imu_batches totals, so one hold records a whole batch consistently.
+  mutable std::mutex stats_mu_;
   Histogram batch_hist_ = Histogram::batch_sizes();
   Histogram imu_batch_hist_ = Histogram::batch_sizes();
   Histogram queue_wait_hist_ = Histogram::latency_us();
   Histogram assembly_hist_ = Histogram::latency_us();
-  /// One latency histogram per class; the snapshot's total latency_us is
-  /// their merge, so every completion is recorded exactly once.
+  /// One latency histogram per class: every completion is recorded in
+  /// exactly one.
   Histogram class_latency_[kNumRequestClasses] = {Histogram::latency_us(),
                                                   Histogram::latency_us()};
-  std::uint64_t completed_ = 0;
-  std::uint64_t batches_ = 0;
-  std::uint64_t imu_batches_ = 0;
 
   mutable std::mutex sessions_mu_;  ///< guards the registry map only
   std::unordered_map<SessionId, std::shared_ptr<SessionState>> sessions_;

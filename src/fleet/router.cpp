@@ -1,6 +1,7 @@
 #include "fleet/router.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
 #include "common/hash.h"
@@ -198,47 +199,97 @@ bool Router::swap_impl(std::string_view key, const serve::WifiLocalizer& wifi,
 }
 
 FleetStats Router::stats() const {
+  std::vector<ShardDepths> depths;
+  return stats(depths);
+}
+
+FleetStats Router::stats(std::vector<ShardDepths>& depths) const {
   FleetStats out;
   std::shared_lock<std::shared_mutex> lock(mu_);
   out.num_shards = shards_.size();
-  // Depth gauges first, in one tight pass: eng->stats() copies whole
-  // histograms, and interleaving depth reads with those copies used to put
-  // milliseconds between the first and last engine's gauge — under load the
-  // "fleet depth" was a smear of instants that disagreed with the per-engine
-  // sum. One quick pass (a queue-lock each, no copies) nails every depth to
-  // nearly the same instant; the stats copies below then *overwrite* their
-  // own interleaved depth reads with the pass's values, which is what makes
-  // the FleetStats consistency contract (total.queue_depth == queue_depth ==
-  // sum of per-shard depths) hold exactly.
-  std::map<std::string, std::vector<std::size_t>> depth_pass;
+  // Depths first, in one tight pass: eng->stats() copies whole histograms,
+  // and interleaving depth reads with those copies would put milliseconds
+  // between the first and last engine's gauge. The snapshots below then
+  // *overwrite* their own lane depths with the pass's, which is what makes
+  // the FleetStats depth contract hold exactly.
+  depths = queue_depths_locked();
+  std::size_t s = 0;
   for (const auto& [key, shard] : shards_) {
-    std::vector<std::size_t>& depths = depth_pass[key];
-    depths.reserve(shard->engines.size());
-    for (const auto& eng : shard->engines) {
-      depths.push_back(eng->queue_depth());
-      out.queue_depth += depths.back();
-    }
-  }
-  for (const auto& [key, shard] : shards_) {
-    const std::vector<std::size_t>& depths = depth_pass[key];
+    const ShardDepths& shard_depths = depths[s++];
     engine::EngineStats merged;
     for (std::size_t e = 0; e < shard->engines.size(); ++e) {
       engine::EngineStats snap = shard->engines[e]->stats();
-      snap.queue_depth = depths[e];
+      snap.bulk.queue_depth = shard_depths.bulk[e];
+      snap.interactive.queue_depth = shard_depths.engines[e] - shard_depths.bulk[e];
       merged.merge(snap);
       ++out.num_engines;
     }
     out.total.merge(merged);
     out.shards.emplace(key, std::move(merged));
-    out.artifacts.emplace(
-        key, ArtifactInfo{shard->config.artifact_digest, shard->generation});
   }
   return out;
 }
 
+void Router::metrics(obs::MetricsSnapshot& out) const {
+  std::vector<ShardDepths> depths;
+  const FleetStats stats = this->stats(depths);
+  const engine::EngineStats& total = stats.total;
+  out.counter("noble_fleet_shards", stats.num_shards);
+  out.counter("noble_fleet_engines", stats.num_engines);
+  out.gauge_int("noble_fleet_queue_depth", total.queue_depth);
+  out.counter("noble_fleet_submitted", total.submitted);
+  out.counter("noble_fleet_completed", total.completed);
+  out.counter("noble_fleet_rejected", total.rejected);
+  out.counter("noble_fleet_expired", total.expired);
+  out.counter("noble_fleet_batches", total.batches);
+  out.counter("noble_fleet_imu_batches", total.imu_batches);
+  out.counter("noble_fleet_cache_hits", total.cache_hits);
+  out.counter("noble_fleet_cache_misses", total.cache_misses);
+  // Scheduler instruments: IMU pass widths plus the measured
+  // queue-wait/assembly stages — full bins in the binary exposition.
+  out.histogram("noble_fleet_imu_batch_size", total.imu_batch_size);
+  out.histogram("noble_fleet_queue_wait_us", total.queue_wait_us);
+  out.histogram("noble_fleet_assembly_us", total.assembly_us);
+  for (const engine::RequestClass cls :
+       {engine::RequestClass::kInteractive, engine::RequestClass::kBulk}) {
+    const engine::ClassStats& cs = total.for_class(cls);
+    const std::string prefix = std::string("noble_fleet_") + engine::request_class_name(cls);
+    out.counter(prefix + "_accepted", cs.accepted);
+    out.counter(prefix + "_rejected", cs.rejected);
+    out.counter(prefix + "_expired", cs.expired);
+    // Per-class lane depth as a labeled split of noble_fleet_queue_depth,
+    // matching the per-engine {shard,engine} split below.
+    out.gauge_int("noble_fleet_queue_depth", cs.queue_depth,
+                  {{"class", engine::request_class_name(cls)}});
+    out.gauge(prefix + "_p50_us", cs.latency.p50_us);
+    out.gauge(prefix + "_p95_us", cs.latency.p95_us);
+    out.gauge(prefix + "_p99_us", cs.latency.p99_us);
+  }
+  for (const ShardDepths& shard : depths) {
+    for (std::size_t e = 0; e < shard.engines.size(); ++e) {
+      out.gauge_int("noble_fleet_queue_depth", shard.engines[e],
+                    {{"shard", shard.shard}, {"engine", std::to_string(e)}});
+    }
+  }
+  // Artifact identity per shard: the generation as the gauge value (small,
+  // exactly representable) with the 64-bit digest as a hex label — a u64
+  // digest as a double sample would silently lose low bits.
+  for (const ShardArtifact& artifact : shard_artifacts()) {
+    char digest_hex[17];
+    std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
+                  static_cast<unsigned long long>(artifact.digest));
+    out.gauge_int("noble_fleet_artifact_generation", artifact.generation,
+                  {{"shard", artifact.shard}, {"digest", digest_hex}});
+  }
+}
+
 std::vector<ShardDepths> Router::queue_depths() const {
-  std::vector<ShardDepths> out;
   std::shared_lock<std::shared_mutex> lock(mu_);
+  return queue_depths_locked();
+}
+
+std::vector<ShardDepths> Router::queue_depths_locked() const {
+  std::vector<ShardDepths> out;
   out.reserve(shards_.size());
   for (const auto& [key, shard] : shards_) {
     ShardDepths depths;
@@ -246,8 +297,9 @@ std::vector<ShardDepths> Router::queue_depths() const {
     depths.engines.reserve(shard->engines.size());
     depths.bulk.reserve(shard->engines.size());
     for (const auto& eng : shard->engines) {
-      depths.engines.push_back(eng->queue_depth());
-      depths.bulk.push_back(eng->queue_depth(engine::RequestClass::kBulk));
+      const std::size_t bulk = eng->queue_depth(engine::RequestClass::kBulk);
+      depths.engines.push_back(eng->queue_depth(engine::RequestClass::kInteractive) + bulk);
+      depths.bulk.push_back(bulk);
     }
     out.push_back(std::move(depths));
   }
@@ -261,16 +313,6 @@ std::vector<ShardArtifact> Router::shard_artifacts() const {
   for (const auto& [key, shard] : shards_) {
     out.push_back(ShardArtifact{key, shard->config.artifact_digest, shard->generation});
   }
-  return out;
-}
-
-std::vector<engine::EngineStats> Router::shard_engine_stats(
-    std::string_view shard_key) const {
-  std::vector<engine::EngineStats> out;
-  std::shared_ptr<Shard> shard = find_shard(shard_key);
-  if (shard == nullptr) return out;
-  out.reserve(shard->engines.size());
-  for (const auto& eng : shard->engines) out.push_back(eng->stats());
   return out;
 }
 

@@ -6,7 +6,8 @@
 //
 //   clients ── submit(shard_key, scan) ──▶ Router ──▶ shard "bldg-A" ─ engine 0..k
 //                                            │        shard "bldg-B" ─ engine 0..k
-//                                            └──▶ FleetStats (merge()d EngineStats)
+//                                            ├──▶ stats(): FleetStats (merge()d EngineStats)
+//                                            └──▶ metrics(): noble_fleet_* scrape samples
 //
 // A *shard* is a routing key (per building / per model artifact) plus one or
 // more engines that all replicate the same model, so any engine of a shard
@@ -70,45 +71,29 @@ struct FleetSession {
 
 /// Fleet-wide telemetry built by merge()-ing per-engine EngineStats.
 ///
-/// Consistency contract for the queue-depth gauges: Router::stats() reads
-/// every engine's depth in one tight pass *before* the (much slower)
-/// histogram-copying stats snapshots, then overwrites each snapshot's own
-/// depth with the pass's value. Consequently `queue_depth`,
-/// `total.queue_depth`, and the sum of `shards[*].queue_depth` are all the
-/// same sum of per-engine reads taken within microseconds of each other —
-/// never a smear of instants milliseconds apart. (Depths remain gauges: the
-/// pass is near-simultaneous, not an atomic cut across engines, and the
-/// *counter* fields are still read at each engine's own snapshot instant.)
-/// Identity of what a shard currently serves: artifact digest + the shard
-/// generation serving it. The cluster's heartbeat payload and the scrape
-/// page's artifact gauges are views of this.
-struct ArtifactInfo {
-  std::uint64_t digest = 0;
-  std::uint64_t generation = 0;
-};
-
+/// Depth contract: every queue-depth figure comes from one depth pass that
+/// reads each engine's two lane depths once, before the (much slower)
+/// histogram-copying engine snapshots, and replaces each snapshot's own
+/// lane depths with the pass's. Consequently `total.queue_depth`, the sum
+/// of `shards[*].queue_depth` and `total.interactive.queue_depth +
+/// total.bulk.queue_depth` are the same sum of the same reads. (Depths
+/// remain gauges: the pass is near-simultaneous, not an atomic cut across
+/// engines, and the counters are read at each engine's own snapshot.)
 struct FleetStats {
   engine::EngineStats total;  ///< merged across every engine of every shard
   std::map<std::string, engine::EngineStats> shards;  ///< merged per shard
-  /// Per-shard artifact identity (digest + live generation).
-  std::map<std::string, ArtifactInfo> artifacts;
   std::size_t num_shards = 0;
   std::size_t num_engines = 0;
-  /// Live fleet-wide queue depth from the single depth pass (see contract
-  /// above): always exactly equal to total.queue_depth. This gauge is the
-  /// cheap one overload dashboards (the gateway Stats page, the load
-  /// harness) poll.
-  std::size_t queue_depth = 0;
 };
 
-/// Instantaneous per-engine queue depths of one shard, in engine order.
+/// Instantaneous per-engine lane depths of one shard, in engine order.
 struct ShardDepths {
   std::string shard;
+  /// Depth of each engine, both lanes: its interactive lane + bulk[i].
   std::vector<std::size_t> engines;
-  /// Bulk-lane depth of each engine (engines[i] counts both classes;
-  /// bulk[i] just the bulk lane) — the saturation signal cross-node spill
-  /// reads: interactive entries outrank bulk everywhere, so total depth
-  /// mistakes interactive-busy engines for bulk-full ones.
+  /// Bulk-lane depth of each engine — the saturation signal cross-node
+  /// spill reads: interactive entries outrank bulk everywhere, so total
+  /// depth mistakes interactive-busy engines for bulk-full ones.
   std::vector<std::size_t> bulk;
 };
 
@@ -121,10 +106,10 @@ struct ShardArtifact {
 
 /// The routing surface the serving front ends consume — what the gateway
 /// listener and the cluster node agent actually need from a fleet: admit
-/// work, manage sticky sessions, answer capacity/identity questions. Router
-/// is the local implementation; the cluster's NodeAgent wraps a Router and
-/// implements the same surface with cross-node bulk spill behind it, so a
-/// gateway serves a multi-node fleet without knowing it.
+/// work, manage sticky sessions, report telemetry. Router is the local
+/// implementation; the cluster's NodeAgent wraps a Router and implements
+/// the same surface with cross-node bulk spill behind it, so a gateway
+/// serves a multi-node fleet without knowing it.
 class Routing {
  public:
   virtual ~Routing() = default;
@@ -138,12 +123,9 @@ class Routing {
                                    const engine::SubmitOptions& options = {}) = 0;
   virtual bool close_session(const FleetSession& session) = 0;
   virtual bool has_shard(std::string_view shard_key) const = 0;
-  virtual FleetStats stats() const = 0;
-  virtual std::vector<ShardDepths> queue_depths() const = 0;
-
-  /// Implementation-specific extra scrape samples (e.g. a node agent's
-  /// spill counters), spliced into the gateway's snapshot. Default: none.
-  virtual void splice_metrics(obs::MetricsSnapshot& out) const { (void)out; }
+  /// Appends this fleet's scrape samples to `out`: the noble_fleet_* set
+  /// from a Router, followed by noble_cluster_* from a node agent.
+  virtual void metrics(obs::MetricsSnapshot& out) const = 0;
 };
 
 class Router : public Routing {
@@ -197,23 +179,25 @@ class Router : public Routing {
   bool hot_swap(std::string_view shard_key, const serve::WifiLocalizer& wifi,
                 const serve::ImuLocalizer& imu);
 
-  /// Merged per-shard and fleet-total telemetry.
-  FleetStats stats() const override;
+  /// Merged per-shard and fleet-total telemetry (see the FleetStats depth
+  /// contract).
+  FleetStats stats() const;
 
-  /// Snapshot of every engine's instantaneous queue depth, grouped by shard
-  /// (keys in registry order). One queue lock per engine, no histogram
-  /// copies — the load signal the gateway Stats frame and the open-loop
-  /// harness report. Depths of different engines are read at slightly
-  /// different instants; it is a gauge, not a consistent cut.
-  std::vector<ShardDepths> queue_depths() const override;
+  /// The noble_fleet_* scrape samples, rendered from one stats() pass:
+  /// fleet counters and stage histograms, per-class counters, lane depths
+  /// and percentiles, per-engine depths and per-shard artifact identity.
+  void metrics(obs::MetricsSnapshot& out) const override;
+
+  /// The depth pass alone: every engine's lane depths, grouped by shard
+  /// (keys in registry order). One queue lock per lane, no histogram
+  /// copies — the load signal a node's heartbeat carries. Depths of
+  /// different engines are read at slightly different instants; it is a
+  /// gauge, not a consistent cut.
+  std::vector<ShardDepths> queue_depths() const;
 
   /// Cheap per-shard artifact identity (one registry read, no engine
   /// locks): the digest + generation each heartbeat frame carries.
   std::vector<ShardArtifact> shard_artifacts() const;
-
-  /// Unmerged per-engine snapshots of one shard (tests, debugging; empty
-  /// for unknown keys).
-  std::vector<engine::EngineStats> shard_engine_stats(std::string_view shard_key) const;
 
   std::vector<std::string> shard_keys() const;
   bool has_shard(std::string_view shard_key) const override;
@@ -232,6 +216,10 @@ class Router : public Routing {
   };
 
   std::shared_ptr<Shard> find_shard(std::string_view key) const;
+  /// stats() that also hands back the depth pass it used; takes mu_.
+  FleetStats stats(std::vector<ShardDepths>& depths) const;
+  /// The depth pass over the registry; mu_ must be held.
+  std::vector<ShardDepths> queue_depths_locked() const;
   std::shared_ptr<Shard> build_shard(const ShardConfig& config,
                                      const serve::WifiLocalizer& wifi,
                                      const serve::ImuLocalizer* imu);

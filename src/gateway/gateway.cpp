@@ -1,7 +1,6 @@
 #include "gateway/gateway.h"
 
 #include <chrono>
-#include <cstdio>
 #include <utility>
 
 namespace noble::gateway {
@@ -270,12 +269,12 @@ GatewayCounters Listener::counters() const {
 
 obs::MetricsSnapshot Listener::stats_snapshot() const {
   obs::MetricsSnapshot out;
-  // Gateway and fleet samples are spliced from this listener's own counters
-  // and router — NOT from global named instruments: many listeners/engines
-  // coexist in one process (every gateway test stands one up), and a global
-  // "noble_fleet_submitted" would smear them together. The global registry
-  // contributes only genuinely process-wide instruments (trace stage
-  // histograms, trace counters) at the end.
+  // Each tier renders the samples it owns: this listener its own counters,
+  // the routing implementation its fleet (and cluster) samples, the global
+  // registry only genuinely process-wide instruments (trace stage
+  // histograms, trace counters). Many listeners and engines coexist in one
+  // process (every gateway test stands one up), so per-instance samples
+  // never go through global named instruments that would smear them.
   const GatewayCounters c = counters();
   out.counter("noble_gateway_connections_accepted", c.connections_accepted);
   out.counter("noble_gateway_connections_open", c.connections_open);
@@ -286,60 +285,7 @@ obs::MetricsSnapshot Listener::stats_snapshot() const {
   out.counter("noble_gateway_backpressure_rejects", c.backpressure_rejects);
   out.counter("noble_gateway_sessions_opened", c.sessions_opened);
   out.counter("noble_gateway_sessions_closed", c.sessions_closed);
-
-  const fleet::FleetStats stats = routing_.stats();
-  out.counter("noble_fleet_shards", stats.num_shards);
-  out.counter("noble_fleet_engines", stats.num_engines);
-  out.gauge_int("noble_fleet_queue_depth", stats.queue_depth);
-  out.counter("noble_fleet_submitted", stats.total.submitted);
-  out.counter("noble_fleet_completed", stats.total.completed);
-  out.counter("noble_fleet_rejected", stats.total.rejected);
-  out.counter("noble_fleet_expired", stats.total.expired);
-  out.counter("noble_fleet_batches", stats.total.batches);
-  out.counter("noble_fleet_imu_batches", stats.total.imu_batches);
-  out.counter("noble_fleet_cache_hits", stats.total.cache_hits);
-  out.counter("noble_fleet_cache_misses", stats.total.cache_misses);
-  // Scheduler instruments: IMU pass widths plus the measured
-  // queue-wait/assembly stages — fleet-merged, full bins in the binary
-  // exposition.
-  out.histogram("noble_fleet_imu_batch_size", stats.total.imu_batch_size);
-  out.histogram("noble_fleet_queue_wait_us", stats.total.queue_wait_us);
-  out.histogram("noble_fleet_assembly_us", stats.total.assembly_us);
-  for (const engine::RequestClass cls :
-       {engine::RequestClass::kInteractive, engine::RequestClass::kBulk}) {
-    const engine::ClassStats& cs = stats.total.for_class(cls);
-    const std::string prefix = std::string("noble_fleet_") +
-                               engine::request_class_name(cls);
-    out.counter(prefix + "_accepted", cs.accepted);
-    out.counter(prefix + "_rejected", cs.rejected);
-    out.counter(prefix + "_expired", cs.expired);
-    // Per-class lane depth as a labeled split of noble_fleet_queue_depth,
-    // matching the per-engine {shard,engine} split below.
-    out.gauge_int("noble_fleet_queue_depth", cs.queue_depth,
-                  {{"class", engine::request_class_name(cls)}});
-    out.gauge(prefix + "_p50_us", cs.latency.p50_us);
-    out.gauge(prefix + "_p95_us", cs.latency.p95_us);
-    out.gauge(prefix + "_p99_us", cs.latency.p99_us);
-  }
-  for (const fleet::ShardDepths& shard : routing_.queue_depths()) {
-    for (std::size_t e = 0; e < shard.engines.size(); ++e) {
-      out.gauge_int("noble_fleet_queue_depth", shard.engines[e],
-                    {{"shard", shard.shard}, {"engine", std::to_string(e)}});
-    }
-  }
-  // Artifact identity per shard: the generation as the gauge value (small,
-  // exactly representable) with the 64-bit digest as a hex label — a u64
-  // digest as a double sample would silently lose low bits.
-  for (const auto& [shard, artifact] : stats.artifacts) {
-    char digest_hex[17];
-    std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
-                  static_cast<unsigned long long>(artifact.digest));
-    out.gauge_int("noble_fleet_artifact_generation", artifact.generation,
-                  {{"shard", shard}, {"digest", digest_hex}});
-  }
-  // Implementation-specific samples (a cluster node agent's spill counters;
-  // a plain Router contributes nothing).
-  routing_.splice_metrics(out);
+  routing_.metrics(out);
   out.append(obs::Registry::global().collect());
   return out;
 }

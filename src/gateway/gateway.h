@@ -9,7 +9,7 @@
 //
 //   clients ══ TCP, wire.h frames ══▶ net::FrameServer ──▶ Listener
 //                                                             │
-//                                               routing.submit / track / stats
+//                                             routing.submit / track / metrics
 //
 // Per connection the Listener keeps a bounded in-flight window of
 // admitted-but-unfulfilled requests plus the sticky-session table. The
@@ -43,10 +43,11 @@
 // obs::Trace when tracing is on — kRecv stamped at byte arrival, kSubmit at
 // decode, engine marks inside, kResponded when the response enters the
 // write buffer — and the gateway finishes each trace into the process-wide
-// stage histograms. The scrape page is built as an obs::MetricsSnapshot
-// (gateway counters + FleetStats views + per-engine depth gauges + the
-// routing implementation's own splice + the global registry's trace
-// instruments) and served in either exposition format: kStats returns the
+// stage histograms. The scrape page is built as one obs::MetricsSnapshot
+// in which each tier renders what it owns — the listener's own counters,
+// then Routing::metrics() (a Router's noble_fleet_* samples, plus a node
+// agent's noble_cluster_* ones), then the global registry's trace
+// instruments — and served in either exposition format: kStats returns the
 // Prometheus text rendering, kStatsBinary the versioned binary image —
 // full histogram bins, decodable with obs::decode_snapshot.
 #ifndef NOBLE_GATEWAY_GATEWAY_H_
@@ -90,8 +91,8 @@ struct GatewayConfig {
   int listen_backlog = 64;
 };
 
-/// Monotonic gateway-level counters (the fleet's own telemetry lives in
-/// FleetStats; these count what only the socket layer can see).
+/// Monotonic gateway-level counters: what only the socket layer can see
+/// (the fleet reports its own through Routing::metrics()).
 struct GatewayCounters {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_open = 0;  ///< gauge
@@ -130,12 +131,11 @@ class Listener final : private net::FrameHandler {
 
   GatewayCounters counters() const;
 
-  /// The scrape snapshot: gateway counters, FleetStats totals and per-class
-  /// percentiles, per-shard/per-engine queue depths and artifact identity
-  /// (all as view samples), the routing implementation's own splice, plus
-  /// every instrument in obs::Registry::global() (the tracer's stage
-  /// histograms and trace counters). Both wire scrape formats and
-  /// stats_text() render this one snapshot.
+  /// The scrape snapshot: this listener's counters, then the routing
+  /// implementation's samples (Routing::metrics()), then every instrument
+  /// in obs::Registry::global() (the tracer's stage histograms and trace
+  /// counters). Both wire scrape formats and stats_text() render this one
+  /// snapshot.
   obs::MetricsSnapshot stats_snapshot() const;
 
   /// Prometheus text rendering of stats_snapshot() — the scrape page,

@@ -11,8 +11,10 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <random>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -429,6 +431,85 @@ TEST(EngineSessions, ConcurrentSessionsMatchDirectTrackingSessions) {
   }
   for (auto& t : tracks) t.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// The derived totals of stats() rely on its read order: histograms (whose
+// counts are completed/batches/imu_batches) before the admission counters
+// (whose sums are submitted/rejected). Poll it while four threads keep
+// rejections, admission rollbacks, cache hits and interleaved session
+// updates in flight against a tiny queue.
+TEST(EngineStatsOrdering, DerivedTotalsStayCoherentUnderConcurrentTraffic) {
+  const auto& wf = engine_fixture();
+  const auto& imf = imu_engine_fixture();
+  const serve::WifiLocalizer wifi = serve::WifiLocalizer::from_model(wf.model);
+  const serve::ImuLocalizer imu = serve::ImuLocalizer::from_model(imf.tracker);
+  EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.max_batch = 4;
+  cfg.max_wait_us = 200;
+  cfg.queue_cap = 4;
+  cfg.session_backlog = 4;
+  cfg.cache_capacity = 8;
+  Engine engine(wifi, imu, cfg);
+  const auto queries = query_pool(6);
+  ASSERT_FALSE(queries.empty());
+  constexpr int kThreads = 4;
+  ASSERT_GE(imf.exp.split.test.size(), static_cast<std::size_t>(kThreads));
+
+  std::atomic<std::uint64_t> attempts[kNumRequestClasses] = {0, 0};
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto& path = imf.exp.split.test.paths[static_cast<std::size_t>(t)];
+      const auto segments = segments_of(path, imf.tracker.segment_dim());
+      const std::optional<SessionId> session = engine.open_session(path.start);
+      std::vector<std::future<serve::Fix>> inflight;
+      for (std::size_t r = 0; r < 400; ++r) {
+        const SubmitOptions options =
+            (r + static_cast<std::size_t>(t)) % 2 == 0 ? SubmitOptions::interactive()
+                                                       : SubmitOptions::bulk();
+        attempts[request_class_index(options.request_class)].fetch_add(1);
+        Submission s = r % 3 == 2 && session.has_value()
+                           ? engine.track(*session, segments[r % segments.size()], options)
+                           : engine.submit(queries[r % queries.size()], options);
+        if (s.accepted()) inflight.push_back(std::move(s.result));
+        if (inflight.size() >= 16) {
+          for (auto& f : inflight) (void)f.get();
+          inflight.clear();
+        }
+      }
+      for (auto& f : inflight) (void)f.get();
+      running.fetch_sub(1);
+    });
+  }
+
+  // The first incoherent snapshot stops the polling; the threads always
+  // run to completion and are joined before anything is asserted.
+  std::size_t polls = 0;
+  std::string incoherent;
+  while (running.load() > 0 && incoherent.empty()) {
+    const EngineStats stats = engine.stats();
+    if (stats.completed > stats.submitted) incoherent = "completed > submitted";
+    if (stats.batches != stats.batch_size.count()) incoherent = "batches";
+    if (stats.imu_batches != stats.imu_batch_size.count()) incoherent = "imu_batches";
+    ++polls;
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(incoherent, "") << "at poll " << polls;
+  EXPECT_GT(polls, 0u);
+
+  const EngineStats stats = engine.stats();
+  for (const RequestClass cls : {RequestClass::kInteractive, RequestClass::kBulk}) {
+    const ClassStats& cs = stats.for_class(cls);
+    EXPECT_EQ(cs.accepted + cs.rejected + cs.expired,
+              attempts[request_class_index(cls)].load())
+        << request_class_name(cls);
+  }
+  EXPECT_EQ(stats.completed, stats.submitted);
+  EXPECT_GT(stats.rejected, 0u) << "the tiny queue never overflowed";
+  EXPECT_GT(stats.cache_hits, 0u) << "no repeat scan hit the cache";
+  EXPECT_GT(stats.imu_batches, 0u) << "no session update ran";
 }
 
 // ---------------------------------------------------------------------------

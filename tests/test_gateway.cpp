@@ -15,14 +15,21 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <future>
+#include <initializer_list>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cluster/node.h"
 #include "core/experiment.h"
 #include "core/noble_imu.h"
 #include "core/noble_wifi.h"
@@ -689,6 +696,309 @@ TEST(RouterQueueDepths, SnapshotMatchesTopologyAndFleetGauge) {
   EXPECT_EQ(total, 0u) << "idle fleet must snapshot empty queues";
   EXPECT_EQ(router.stats().total.queue_depth, 0u)
       << "the FleetStats gauge is the same quantity, summed";
+}
+
+
+// ---------------------------------------------------------------------------
+// Scrape shape: the ordered (name, labels, kind) list of the stats page.
+// ---------------------------------------------------------------------------
+
+const char* kind_name(obs::Kind kind) {
+  switch (kind) {
+    case obs::Kind::kCounter: return "counter";
+    case obs::Kind::kGauge: return "gauge";
+    case obs::Kind::kHistogram: return "histogram";
+  }
+  return "?";
+}
+
+/// Replaces every `digest="<hex>"` label value with `*`: the artifact digest
+/// is a property of the trained fixture model, not of the page's shape.
+std::string mask_digests(const std::string& text) {
+  const std::string key = "digest=\"";
+  std::string out;
+  std::size_t from = 0;
+  for (std::size_t at = text.find(key); at != std::string::npos; at = text.find(key, from)) {
+    const std::size_t begin = at + key.size();
+    out.append(text, from, begin - from);
+    out += '*';
+    from = text.find('"', begin);
+  }
+  out.append(text, from, std::string::npos);
+  return out;
+}
+
+/// `name{k="v",...} kind` per sample, in page order.
+std::vector<std::string> scrape_shape(const obs::MetricsSnapshot& snap) {
+  std::vector<std::string> out;
+  for (const obs::MetricSample& s : snap.samples) {
+    std::string line = s.name;
+    if (!s.labels.empty()) {
+      line += '{';
+      for (std::size_t i = 0; i < s.labels.size(); ++i) {
+        if (i > 0) line += ',';
+        line += s.labels[i].first + "=\"" + s.labels[i].second + '"';
+      }
+      line += '}';
+    }
+    out.push_back(mask_digests(line + " " + kind_name(s.kind)));
+  }
+  return out;
+}
+
+/// The Prometheus text lines a shape renders to, each cut before its value:
+/// a histogram is three quantile lines plus `_sum` and `_count`.
+std::vector<std::string> text_keys_of(const std::vector<std::string>& shape) {
+  std::vector<std::string> out;
+  for (const std::string& entry : shape) {
+    const std::size_t space = entry.rfind(' ');
+    const std::string key = entry.substr(0, space);
+    if (entry.substr(space + 1) != "histogram") {
+      out.push_back(key);
+      continue;
+    }
+    const std::size_t brace = key.find('{');
+    const std::string name = key.substr(0, brace);
+    const std::string labels = brace == std::string::npos ? "" : key.substr(brace);
+    for (const char* q : {"0.5", "0.95", "0.99"}) {
+      const std::string quantile = std::string("quantile=\"") + q + '"';
+      out.push_back(labels.empty()
+                        ? name + "{" + quantile + "}"
+                        : name + labels.substr(0, labels.size() - 1) + "," + quantile + "}");
+    }
+    out.push_back(name + "_sum" + labels);
+    out.push_back(name + "_count" + labels);
+  }
+  return out;
+}
+
+/// Every line of a Prometheus page, cut before its value, digests masked.
+std::vector<std::string> text_keys(const std::string& page) {
+  std::vector<std::string> out;
+  std::size_t begin = 0;
+  while (begin < page.size()) {
+    const std::size_t end = page.find('\n', begin);
+    const std::string line = page.substr(begin, end - begin);
+    out.push_back(mask_digests(line.substr(0, line.rfind(' '))));
+    begin = end == std::string::npos ? page.size() : end + 1;
+  }
+  return out;
+}
+
+/// Checks one listener's page against `golden` in all three views: the
+/// snapshot itself, its binary round trip and its text rendering.
+void expect_scrape_shape(const Listener& listener, const std::vector<std::string>& golden) {
+  const obs::MetricsSnapshot snap = listener.stats_snapshot();
+  EXPECT_EQ(scrape_shape(snap), golden);
+  const std::optional<obs::MetricsSnapshot> decoded =
+      obs::decode_snapshot(obs::encode_snapshot(snap));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(scrape_shape(*decoded), golden);
+  EXPECT_EQ(text_keys(listener.stats_text()), text_keys_of(golden));
+}
+
+/// Two shards, so every per-shard and per-engine sample appears at least
+/// twice: "bldg-A" on two engines with IMU sessions, "bldg-B" on one.
+void add_two_shards(fleet::Router& router) {
+  fleet::ShardConfig a;
+  a.key = "bldg-A";
+  a.engines = 2;
+  a.engine.workers = 1;
+  ASSERT_TRUE(router.add_shard(a, wifi_localizer(), imu_localizer()));
+  fleet::ShardConfig b;
+  b.key = "bldg-B";
+  b.engine.workers = 1;
+  ASSERT_TRUE(router.add_shard(b, wifi_localizer()));
+}
+
+// The page's shape as the hand-mapped scrape rendered it before each tier
+// rendered its own samples (recorded from that version, digests masked).
+/// The listener's own counters.
+const std::vector<std::string> kGatewayShape = {
+    "noble_gateway_connections_accepted counter",
+    "noble_gateway_connections_open counter",
+    "noble_gateway_connections_rejected counter",
+    "noble_gateway_frames_received counter",
+    "noble_gateway_frames_sent counter",
+    "noble_gateway_malformed_frames counter",
+    "noble_gateway_backpressure_rejects counter",
+    "noble_gateway_sessions_opened counter",
+    "noble_gateway_sessions_closed counter",
+};
+
+/// A Router over add_two_shards()'s topology.
+const std::vector<std::string> kFleetShape = {
+    "noble_fleet_shards counter",
+    "noble_fleet_engines counter",
+    "noble_fleet_queue_depth gauge",
+    "noble_fleet_submitted counter",
+    "noble_fleet_completed counter",
+    "noble_fleet_rejected counter",
+    "noble_fleet_expired counter",
+    "noble_fleet_batches counter",
+    "noble_fleet_imu_batches counter",
+    "noble_fleet_cache_hits counter",
+    "noble_fleet_cache_misses counter",
+    "noble_fleet_imu_batch_size histogram",
+    "noble_fleet_queue_wait_us histogram",
+    "noble_fleet_assembly_us histogram",
+    "noble_fleet_interactive_accepted counter",
+    "noble_fleet_interactive_rejected counter",
+    "noble_fleet_interactive_expired counter",
+    "noble_fleet_queue_depth{class=\"interactive\"} gauge",
+    "noble_fleet_interactive_p50_us gauge",
+    "noble_fleet_interactive_p95_us gauge",
+    "noble_fleet_interactive_p99_us gauge",
+    "noble_fleet_bulk_accepted counter",
+    "noble_fleet_bulk_rejected counter",
+    "noble_fleet_bulk_expired counter",
+    "noble_fleet_queue_depth{class=\"bulk\"} gauge",
+    "noble_fleet_bulk_p50_us gauge",
+    "noble_fleet_bulk_p95_us gauge",
+    "noble_fleet_bulk_p99_us gauge",
+    "noble_fleet_queue_depth{shard=\"bldg-A\",engine=\"0\"} gauge",
+    "noble_fleet_queue_depth{shard=\"bldg-A\",engine=\"1\"} gauge",
+    "noble_fleet_queue_depth{shard=\"bldg-B\",engine=\"0\"} gauge",
+    "noble_fleet_artifact_generation{shard=\"bldg-A\",digest=\"*\"} gauge",
+    "noble_fleet_artifact_generation{shard=\"bldg-B\",digest=\"*\"} gauge",
+};
+
+/// A NodeAgent named "node-a", after its router's samples.
+const std::vector<std::string> kClusterShape = {
+    "noble_cluster_heartbeats_sent_total{node=\"node-a\"} counter",
+    "noble_cluster_membership_updates_total{node=\"node-a\"} counter",
+    "noble_cluster_spill_forwarded_total{node=\"node-a\"} counter",
+    "noble_cluster_spill_completed_total{node=\"node-a\"} counter",
+    "noble_cluster_spill_failed_total{node=\"node-a\"} counter",
+    "noble_cluster_spill_served_total{node=\"node-a\"} counter",
+    "noble_cluster_spill_refused_total{node=\"node-a\"} counter",
+    "noble_cluster_rollouts_applied_total{node=\"node-a\"} counter",
+    "noble_cluster_rollouts_refused_total{node=\"node-a\"} counter",
+    "noble_cluster_protocol_errors_total{node=\"node-a\"} counter",
+    "noble_cluster_peers_alive{node=\"node-a\"} gauge",
+};
+
+/// The tracer's process-wide instruments, appended last.
+const std::vector<std::string> kRegistryShape = {
+    "noble_stage_latency_us{stage=\"decode\"} histogram",
+    "noble_stage_latency_us{stage=\"admission\"} histogram",
+    "noble_stage_latency_us{stage=\"queue_wait\"} histogram",
+    "noble_stage_latency_us{stage=\"batch_assembly\"} histogram",
+    "noble_stage_latency_us{stage=\"compute\"} histogram",
+    "noble_stage_latency_us{stage=\"respond\"} histogram",
+    "noble_trace_e2e_us histogram",
+    "noble_traces_started counter",
+    "noble_traces_finished counter",
+    "noble_traces_sampled counter",
+    "noble_traces_slow counter",
+};
+
+std::vector<std::string> concat(std::initializer_list<const std::vector<std::string>*> parts) {
+  std::vector<std::string> out;
+  for (const std::vector<std::string>* part : parts) {
+    out.insert(out.end(), part->begin(), part->end());
+  }
+  return out;
+}
+
+TEST(ScrapeShape, RouterPageKeepsEverySampleInOrder) {
+  obs::Tracer::global();  // registers the stage instruments the page appends
+  fleet::Router router;
+  add_two_shards(router);
+  Listener listener(router);
+  expect_scrape_shape(listener, concat({&kGatewayShape, &kFleetShape, &kRegistryShape}));
+  // The masked digest label is the shard's artifact identity.
+  for (const fleet::ShardArtifact& artifact : router.shard_artifacts()) {
+    char digest_hex[17];
+    std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
+                  static_cast<unsigned long long>(artifact.digest));
+    EXPECT_NE(listener.stats_snapshot().find(
+                  "noble_fleet_artifact_generation",
+                  {{"shard", artifact.shard}, {"digest", digest_hex}}),
+              nullptr)
+        << artifact.shard;
+  }
+}
+
+TEST(ScrapeShape, NodeAgentPageAppendsClusterSamplesAfterTheFleet) {
+  obs::Tracer::global();
+  fleet::Router router;
+  add_two_shards(router);
+  cluster::NodeConfig config;
+  config.name = "node-a";
+  config.spill_enabled = true;
+  cluster::NodeAgent agent(router, config);
+  Listener listener(agent);
+  expect_scrape_shape(
+      listener, concat({&kGatewayShape, &kFleetShape, &kClusterShape, &kRegistryShape}));
+}
+
+// Every depth on one page comes from one depth pass: the unlabeled fleet
+// depth, its {class} split and its {shard,engine} split must agree on every
+// scrape while submitters keep the queues moving.
+TEST(ScrapeShape, EveryDepthOnOnePageComesFromOnePass) {
+  fleet::Router router;
+  for (const char* key : {"bldg-A", "bldg-B"}) {
+    fleet::ShardConfig shard;
+    shard.key = key;
+    shard.engines = 2;
+    shard.engine.workers = 1;
+    shard.engine.max_batch = 4;
+    shard.engine.max_wait_us = 500;  // hold windows open so queues stay deep
+    shard.engine.queue_cap = 16;
+    ASSERT_TRUE(router.add_shard(shard, wifi_localizer()));
+  }
+  Listener listener(router);
+  const auto queries = test_queries(16);
+  ASSERT_FALSE(queries.empty());
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 4; ++t) {
+    submitters.emplace_back([&, t] {
+      std::vector<std::future<serve::Fix>> inflight;
+      for (std::size_t r = 0; !stop.load(std::memory_order_relaxed); ++r) {
+        const engine::SubmitOptions options = r % 2 == 0 ? engine::SubmitOptions::interactive()
+                                                         : engine::SubmitOptions::bulk();
+        engine::Submission s = router.submit(t % 2 == 0 ? "bldg-A" : "bldg-B",
+                                             queries[(r + t) % queries.size()], options);
+        if (s.accepted()) inflight.push_back(std::move(s.result));
+        if (inflight.size() >= 24) {
+          for (auto& f : inflight) (void)f.get();
+          inflight.clear();
+        }
+      }
+      for (auto& f : inflight) (void)f.get();
+    });
+  }
+
+  // The first disagreeing page stops the scraping; the submitters are
+  // stopped and joined before anything is asserted.
+  std::uint64_t deepest = 0;
+  std::string disagreement;
+  for (int scrape = 0;
+       disagreement.empty() && (scrape < 200 || (deepest == 0 && scrape < 20000)); ++scrape) {
+    const obs::MetricsSnapshot page = listener.stats_snapshot();
+    double total = -1, by_class = 0, by_engine = 0;
+    for (const obs::MetricSample& s : page.samples) {
+      if (s.name != "noble_fleet_queue_depth") continue;
+      if (s.labels.empty()) {
+        total = s.gauge_value;
+      } else {
+        (s.labels.front().first == "class" ? by_class : by_engine) += s.gauge_value;
+      }
+    }
+    if (total != by_class || total != by_engine) {
+      disagreement = "scrape " + std::to_string(scrape) + ": total " + std::to_string(total) +
+                     ", by class " + std::to_string(by_class) + ", by engine " +
+                     std::to_string(by_engine);
+    }
+    deepest = std::max(deepest, static_cast<std::uint64_t>(std::max(total, 0.0)));
+  }
+  stop.store(true);
+  for (auto& th : submitters) th.join();
+  EXPECT_EQ(disagreement, "");
+  EXPECT_GT(deepest, 0u) << "the queues never held work, so no scrape tested a split";
 }
 
 }  // namespace
