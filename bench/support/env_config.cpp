@@ -1,8 +1,11 @@
 #include "support/env_config.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -23,18 +26,32 @@ void EnvConfig::record(const char* name, std::string value, bool from_env) {
   knobs_.push_back(EnvKnob{name, std::move(value), from_env});
 }
 
+void EnvConfig::reject(const char* name, const std::string& value,
+                       const std::string& why) {
+  std::fprintf(stderr, "noble: bad environment knob %s=%s: %s\n", name, value.c_str(),
+               why.c_str());
+  std::exit(2);
+}
+
 long EnvConfig::integer(const char* name, long fallback) {
   long value = fallback;
   bool from_env = false;
   if (const char* raw = std::getenv(name); raw != nullptr && *raw != '\0') {
     char* end = nullptr;
-    const long parsed = std::strtol(raw, &end, 10);
-    if (end != raw && *end == '\0') {
-      value = parsed;
-      from_env = true;
-    }
+    errno = 0;
+    value = std::strtol(raw, &end, 10);
+    if (end == raw || *end != '\0' || errno == ERANGE) reject(name, raw, "not an integer");
+    from_env = true;
   }
   record(name, std::to_string(value), from_env);
+  return value;
+}
+
+long EnvConfig::integer(const char* name, long fallback, long min) {
+  const long value = integer(name, fallback);
+  if (value < min) {
+    reject(name, std::to_string(value), "must be at least " + std::to_string(min));
+  }
   return value;
 }
 
@@ -43,11 +60,12 @@ double EnvConfig::real(const char* name, double fallback) {
   bool from_env = false;
   if (const char* raw = std::getenv(name); raw != nullptr && *raw != '\0') {
     char* end = nullptr;
-    const double parsed = std::strtod(raw, &end);
-    if (end != raw && *end == '\0') {
-      value = parsed;
-      from_env = true;
+    errno = 0;
+    value = std::strtod(raw, &end);
+    if (end == raw || *end != '\0' || errno == ERANGE || !std::isfinite(value)) {
+      reject(name, raw, "not a finite number");
     }
+    from_env = true;
   }
   char buf[64];
   std::snprintf(buf, sizeof buf, "%g", value);
@@ -94,37 +112,49 @@ engine::EngineConfig EnvConfig::engine(engine::EngineConfig defaults) {
   const std::size_t worker_default =
       defaults.workers == 0 ? std::clamp<std::size_t>(hw, 2, 8) : defaults.workers;
   cfg.workers = static_cast<std::size_t>(
-      integer("NOBLE_ENGINE_WORKERS", static_cast<long>(worker_default)));
+      integer("NOBLE_ENGINE_WORKERS", static_cast<long>(worker_default), 1));
   cfg.max_batch = static_cast<std::size_t>(
-      integer("NOBLE_ENGINE_MAX_BATCH", static_cast<long>(defaults.max_batch)));
+      integer("NOBLE_ENGINE_MAX_BATCH", static_cast<long>(defaults.max_batch), 1));
   cfg.max_wait_us = static_cast<std::uint64_t>(
-      integer("NOBLE_ENGINE_MAX_WAIT_US", static_cast<long>(defaults.max_wait_us)));
+      integer("NOBLE_ENGINE_MAX_WAIT_US", static_cast<long>(defaults.max_wait_us), 0));
   cfg.queue_cap = static_cast<std::size_t>(
-      integer("NOBLE_ENGINE_QUEUE_CAP", static_cast<long>(defaults.queue_cap)));
-  cfg.backend = text("NOBLE_ENGINE_BACKEND",
-                     engine::backend_kind_name(defaults.backend)) == "quantized"
-                    ? engine::BackendKind::kQuantized
-                    : engine::BackendKind::kDense;
+      integer("NOBLE_ENGINE_QUEUE_CAP", static_cast<long>(defaults.queue_cap), 1));
+  const std::string backend =
+      text("NOBLE_ENGINE_BACKEND", engine::backend_kind_name(defaults.backend));
+  if (backend == engine::backend_kind_name(engine::BackendKind::kQuantized)) {
+    cfg.backend = engine::BackendKind::kQuantized;
+  } else if (backend == engine::backend_kind_name(engine::BackendKind::kDense)) {
+    cfg.backend = engine::BackendKind::kDense;
+  } else {
+    reject("NOBLE_ENGINE_BACKEND", backend, "want dense or quantized");
+  }
   cfg.cache_capacity = static_cast<std::size_t>(
-      integer("NOBLE_ENGINE_CACHE_CAP", static_cast<long>(defaults.cache_capacity)));
+      integer("NOBLE_ENGINE_CACHE_CAP", static_cast<long>(defaults.cache_capacity), 0));
   cfg.cache_key_step_db =
       real("NOBLE_ENGINE_CACHE_STEP_DB", defaults.cache_key_step_db);
-  // "interactive:bulk" queue-slot caps; malformed input keeps the defaults.
+  if (!(cfg.cache_key_step_db > 0.0)) {
+    reject("NOBLE_ENGINE_CACHE_STEP_DB", std::to_string(cfg.cache_key_step_db),
+           "must be positive");
+  }
+  // "interactive:bulk" queue-slot caps, each a non-negative integer.
   const std::string caps = text("NOBLE_ENGINE_CLASS_CAPS", "");
-  if (const std::size_t colon = caps.find(':'); colon != std::string::npos) {
-    char* end = nullptr;
-    const unsigned long interactive = std::strtoul(caps.c_str(), &end, 10);
-    if (end == caps.c_str() + colon) {
-      const char* bulk_begin = caps.c_str() + colon + 1;
-      const unsigned long bulk = std::strtoul(bulk_begin, &end, 10);
-      if (end != bulk_begin && *end == '\0') {
-        cfg.interactive_cap = static_cast<std::size_t>(interactive);
-        cfg.bulk_cap = static_cast<std::size_t>(bulk);
+  if (!caps.empty()) {
+    const auto slots = [&caps](const std::string& digits) {
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long value = std::strtoull(digits.c_str(), &end, 10);
+      if (digits.empty() || digits.find_first_not_of("0123456789") != std::string::npos ||
+          errno == ERANGE) {
+        reject("NOBLE_ENGINE_CLASS_CAPS", caps, "want interactive:bulk slot counts");
       }
-    }
+      return static_cast<std::size_t>(value);
+    };
+    const std::size_t colon = caps.find(':');
+    cfg.interactive_cap = slots(caps.substr(0, colon));
+    cfg.bulk_cap = slots(colon == std::string::npos ? "" : caps.substr(colon + 1));
   }
   cfg.default_deadline_us = static_cast<std::uint64_t>(integer(
-      "NOBLE_ENGINE_DEADLINE_US", static_cast<long>(defaults.default_deadline_us)));
+      "NOBLE_ENGINE_DEADLINE_US", static_cast<long>(defaults.default_deadline_us), 0));
   cfg.edf_bulk = flag("NOBLE_ENGINE_EDF", defaults.edf_bulk);
   cfg.coalesce_sessions = flag("NOBLE_ENGINE_COALESCE", defaults.coalesce_sessions);
   return cfg;

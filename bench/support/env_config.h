@@ -33,9 +33,14 @@ struct EnvKnob {
 class EnvConfig {
  public:
   // --- primitive recorded reads ----------------------------------------------
+  // A set value that does not parse (or, for the bounded integer read, lies
+  // below `min`) is a configuration error: it is reported on stderr as
+  // "noble: bad environment knob NAME=VALUE: reason" and the process exits
+  // with status 2 — never a silent fallback to the default.
   long integer(const char* name, long fallback);
+  long integer(const char* name, long fallback, long min);
   double real(const char* name, double fallback);
-  bool flag(const char* name, bool fallback);  ///< "0" = false, anything else true
+  bool flag(const char* name, bool fallback);  ///< "0" = false, any other integer true
   std::string text(const char* name, std::string fallback);
 
   // --- composite readers (env applied over `defaults`) ------------------------
@@ -50,6 +55,9 @@ class EnvConfig {
   /// IMU batching vs serialized-per-track draining). Also applies and
   /// records the process-wide NOBLE_KERNEL override (scalar|avx2|auto).
   /// `defaults.workers == 0` means auto-size to min(hardware, 8), at least 2.
+  /// Out-of-range values (0 workers, batch or queue slots; negative counts
+  /// or durations; a non-positive cache step; an unknown backend; malformed
+  /// class caps) are rejected by name like unparsable ones.
   engine::EngineConfig engine(engine::EngineConfig defaults = {});
   /// NOBLE_GATEWAY_PORT / NOBLE_GATEWAY_THREADS.
   gateway::GatewayConfig gateway(gateway::GatewayConfig defaults = {});
@@ -73,6 +81,8 @@ class EnvConfig {
 
  private:
   void record(const char* name, std::string value, bool from_env);
+  [[noreturn]] static void reject(const char* name, const std::string& value,
+                                  const std::string& why);
   std::vector<EnvKnob> knobs_;
 };
 

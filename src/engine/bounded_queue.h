@@ -24,9 +24,16 @@
 //    so the order is total and deterministic. Interactive stays FIFO: its
 //    product is arrival-order latency, not deadline goodput.
 //
-// Consumers block in `pop_batch`, which gathers up to `max_items` entries,
-// waiting at most `max_wait` after the first entry for stragglers — the
-// micro-batching window.
+// Consumers block in `pop_batch`, which gathers up to `max_items` entries.
+// Batching is work-conserving (the adaptive-batching rule of Clipper,
+// Crankshaw et al., NSDI 2017): a consumer holding an under-full batch
+// waits at most `max_wait` after its first take for stragglers — the
+// micro-batching window — but only while every other consumer is busy.
+// It dispatches at once if another consumer is blocked idle, and a
+// consumer that goes idle on the empty queue releases every window holder:
+// a straggler is better served by the idle consumer than by holding a
+// lone entry back. A single consumer never sees another idle, so it always
+// holds the full window.
 #ifndef NOBLE_ENGINE_BOUNDED_QUEUE_H_
 #define NOBLE_ENGINE_BOUNDED_QUEUE_H_
 
@@ -135,8 +142,10 @@ class BoundedQueue {
 
   /// Blocks until at least one entry is available (or the queue is closed),
   /// then gathers up to `max_items` live entries, waiting at most `max_wait`
-  /// past the first take for more to arrive. Interactive entries drain
-  /// first on every sweep; bulk fills the remainder of the batch.
+  /// past the first take for more to arrive — while no other consumer is
+  /// blocked idle in `pop_batch` (see the header comment). Interactive
+  /// entries drain first on every sweep; bulk fills the remainder of the
+  /// batch.
   ///
   /// When `expired` is non-null, entries whose deadline has passed are
   /// appended there instead of the batch (they do not count against
@@ -152,7 +161,15 @@ class BoundedQueue {
     std::vector<T> batch;
     const std::size_t expired_before = expired == nullptr ? 0 : expired->size();
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return size_locked() > 0 || closed_; });
+    if (size_locked() == 0 && !closed_) {
+      // Going idle: release every window holder, so their batches dispatch
+      // now instead of waiting out the window for work this consumer could
+      // take.
+      ++idle_;
+      if (holders_ > 0) cv_.notify_all();
+      cv_.wait(lock, [&] { return size_locked() > 0 || closed_; });
+      --idle_;
+    }
     if (size_locked() == 0) return batch;  // closed and drained
     const auto window = Clock::now() + max_wait;
     for (;;) {
@@ -170,16 +187,20 @@ class BoundedQueue {
           }
         }
       }
-      if (batch.size() >= max_items || closed_) break;
+      // Another consumer is idle: it can take any straggler itself.
+      if (batch.size() >= max_items || closed_ || idle_ > 0) break;
       // Everything taken so far expired: hand the corpses back now instead
       // of holding the window open over them.
       if (batch.empty() && expired != nullptr && expired->size() > expired_before) {
         break;
       }
-      // Wait out the rest of the batching window for stragglers.
-      if (!cv_.wait_until(lock, window, [&] { return size_locked() > 0 || closed_; })) {
-        break;  // window expired; serve what we have
-      }
+      // Every other consumer is busy: wait out the rest of the batching
+      // window for stragglers, unless a consumer goes idle first.
+      ++holders_;
+      const bool woken = cv_.wait_until(
+          lock, window, [&] { return size_locked() > 0 || closed_ || idle_ > 0; });
+      --holders_;
+      if (!woken) break;  // window expired; serve what we have
     }
     return batch;
   }
@@ -241,6 +262,10 @@ class BoundedQueue {
   std::array<std::deque<Entry>, kNumRequestClasses> lanes_;
   std::uint64_t next_seq_ = 0;
   bool closed_ = false;
+  /// Consumers blocked in `pop_batch` on the empty queue.
+  std::size_t idle_ = 0;
+  /// Consumers holding an under-full batch open for stragglers.
+  std::size_t holders_ = 0;
 };
 
 }  // namespace noble::engine

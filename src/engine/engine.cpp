@@ -437,13 +437,16 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids) {
   // shared_ptr copies keep every state alive across the drain even if the
   // session is closed mid-flight (close_session only clears pending and
   // unregisters; it never touches the TrackingSession itself).
+  std::vector<SessionId> track_ids;
   std::vector<std::shared_ptr<SessionState>> tracks;
+  track_ids.reserve(ids.size());
   tracks.reserve(ids.size());
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     for (const SessionId id : ids) {
       const auto it = sessions_.find(id);
       if (it == sessions_.end()) continue;  // closed while its token was queued
+      track_ids.push_back(id);
       tracks.push_back(it->second);
     }
   }
@@ -460,6 +463,15 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids) {
   // by clearing `scheduled` under its mutex, after which the next track()
   // submission enqueues a fresh token (possibly for another worker; this
   // one no longer touches it).
+  //
+  // The drain is bounded: between rounds, if the shared queue holds work (a
+  // Wi-Fi scan, or the fresh token of a track that retired mid-drain), each
+  // track that still has pending updates is handed back to the queue as a
+  // re-pushed token and this worker returns to pop_batch, so continuously
+  // fed tracks cannot keep it from the queue. The re-push happens under the
+  // track's mutex with `scheduled` left true — still one token in flight,
+  // and this worker no longer touches the track. A refused re-push (queue
+  // full or closed) keeps the track here: no update is dropped or reordered.
   std::vector<char> active(tracks.size(), 1);
   std::vector<PendingUpdate> updates;
   std::vector<serve::TrackingSession*> sessions;
@@ -508,6 +520,18 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids) {
     complete_batch(
         updates, taken_ns, [&] { return imu_->update_sessions(sessions, segments); },
         [](const std::vector<serve::Fix>&) {});
+    if (queue_.depth() == 0) continue;
+    for (std::size_t t = 0; t < tracks.size(); ++t) {
+      if (!active[t]) continue;
+      SessionState& state = *tracks[t];
+      std::lock_guard<std::mutex> lock(state.mu);
+      if (state.pending.empty()) continue;  // the next round retires it
+      // The token takes the class of the update it will serve next.
+      if (queue_.try_push(Request{SessionWork{track_ids[t]}},
+                          state.pending.front().cls) == PushResult::kOk) {
+        active[t] = 0;
+      }
+    }
   }
 }
 

@@ -11,7 +11,10 @@
 //      └──────────── std::future<Fix> fulfilled per micro-batch
 //
 // Requests are coalesced under a max-batch-size / max-wait-deadline policy
-// and executed on a worker pool over shared-nothing WifiBackend replicas
+// that is work-conserving: a worker holds an under-full batch open for up to
+// `max_wait_us` only while every other worker is busy, and dispatches at
+// once while another sits idle (engine/bounded_queue.h). Batches are
+// executed on a worker pool over shared-nothing WifiBackend replicas
 // (see engine/backend.h: float32 dense by default, int8 quantized as an
 // alternate, both deep-copied so there is no cross-worker sharing and no
 // locks on the hot path). Output is bit-identical to direct inference on
@@ -42,7 +45,9 @@
 // ordered while different tracks proceed in parallel. Session updates are
 // served in rounds — one pending update per track, one batched IMU pass per
 // round — and every Wi-Fi micro-batch and every IMU round completes through
-// the same routine (trace stamps, telemetry, promise fulfilment).
+// the same routine (trace stamps, telemetry, promise fulfilment). Between
+// rounds a worker hands its still-fed tracks back to the shared queue when
+// other work waits there, so a busy track never holds a Wi-Fi scan behind it.
 //
 // Telemetry: `stats()` snapshots the per-class admission counters and lane
 // depths, the micro-batch-size and stage distributions and the per-class
@@ -141,7 +146,10 @@ struct EngineConfig {
   /// Most requests coalesced into one network pass.
   std::size_t max_batch = 32;
   /// Batching window: how long a worker holds an under-full batch open for
-  /// stragglers after taking its first request. 0 = serve whatever is there.
+  /// stragglers after taking its first request, while every other worker is
+  /// busy. A worker dispatches at once while another is idle, and is
+  /// released early when one goes idle; with one worker the window always
+  /// holds. 0 = serve whatever is there.
   std::uint64_t max_wait_us = 200;
   /// Bounded request-queue capacity; submissions beyond it are rejected
   /// with kQueueFull (explicit backpressure instead of unbounded memory).
@@ -389,8 +397,10 @@ class Engine {
   /// or retire — never across the pass — so producers keep filling the
   /// per-session FIFOs while the GEMM runs. The one-token-in-flight
   /// invariant makes this worker the sole consumer of every track it
-  /// drains. Called once per pop with every token under coalescing, and
-  /// once per token with `coalesce_sessions` off.
+  /// drains. Returns early — re-queueing the token of every track with
+  /// updates left — when the shared queue holds work between rounds.
+  /// Called once per pop with every token under coalescing, and once per
+  /// token with `coalesce_sessions` off.
   void drain_sessions(const std::vector<SessionId>& ids);
   /// The one completion path for Wi-Fi micro-batches and IMU rounds.
   /// Stamps kDequeued (at `taken_ns`, the instant the batch's inputs were

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <optional>
 #include <random>
@@ -99,6 +100,92 @@ TEST(BoundedQueue, CloseWakesBlockedConsumer) {
   queue.close();
   consumer.join();
   EXPECT_TRUE(returned.load());
+}
+
+// Work-conserving batching: the window is held only while every other
+// consumer is busy. Each test uses a 30 s window, so a return within a few
+// seconds shows the window was cut short, not waited out. Every test closes
+// the queue before its first get(), so a failing check never leaves a
+// consumer blocked.
+
+/// Spins until a consumer has taken every queued entry.
+void await_taken(const BoundedQueue<int>& queue) {
+  while (queue.depth() > 0) std::this_thread::yield();
+}
+
+std::future<std::vector<int>> start_consumer(BoundedQueue<int>& queue,
+                                             std::size_t max_items) {
+  return std::async(std::launch::async, [&queue, max_items] {
+    return queue.pop_batch(max_items, std::chrono::seconds(30));
+  });
+}
+
+TEST(WorkConservingBatching, LoneEntryDispatchesAtOnceBesideAnIdleConsumer) {
+  BoundedQueue<int> queue(8);
+  // Both consumers block idle before the entry arrives: the one that takes
+  // it sees the other idle and dispatches without holding the window. (A
+  // consumer that had not blocked yet would release the holder on arrival.)
+  auto first = start_consumer(queue, 8);
+  auto second = start_consumer(queue, 8);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(queue.try_push(7), PushResult::kOk);
+  const auto ready = [](std::future<std::vector<int>>& f) {
+    return f.wait_for(std::chrono::milliseconds(1)) == std::future_status::ready;
+  };
+  while (!ready(first) && !ready(second) &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10)) {
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  queue.close();  // the consumer left idle returns empty
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  std::vector<int> taken = first.get();
+  const std::vector<int> other = second.get();
+  taken.insert(taken.end(), other.begin(), other.end());
+  EXPECT_EQ(taken, std::vector<int>{7});
+}
+
+TEST(WorkConservingBatching, HolderIsReleasedWhenAnotherConsumerGoesIdle) {
+  BoundedQueue<int> queue(8);
+  EXPECT_EQ(queue.try_push(7), PushResult::kOk);
+  auto holder = start_consumer(queue, 8);
+  await_taken(queue);  // the only consumer took the entry and holds its window
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const bool held = holder.wait_for(std::chrono::seconds(0)) == std::future_status::timeout;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto idle = start_consumer(queue, 8);
+  const bool released =
+      holder.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  queue.close();
+  EXPECT_TRUE(held);
+  EXPECT_TRUE(released);
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  EXPECT_EQ(holder.get(), std::vector<int>{7});
+  EXPECT_TRUE(idle.get().empty());
+}
+
+TEST(WorkConservingBatching, SingleConsumerStillGathersAStraggler) {
+  BoundedQueue<int> queue(8);
+  EXPECT_EQ(queue.try_push(1), PushResult::kOk);
+  auto holder = start_consumer(queue, 2);
+  await_taken(queue);
+  EXPECT_EQ(queue.try_push(2), PushResult::kOk);  // inside the held window
+  const bool full = holder.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  queue.close();
+  EXPECT_TRUE(full);
+  EXPECT_EQ(holder.get(), (std::vector<int>{1, 2}));
+}
+
+TEST(WorkConservingBatching, CloseDuringAHeldWindowReturnsWhatWasTaken) {
+  BoundedQueue<int> queue(8);
+  EXPECT_EQ(queue.try_push(1), PushResult::kOk);
+  EXPECT_EQ(queue.try_push(2), PushResult::kOk);
+  auto holder = start_consumer(queue, 8);
+  await_taken(queue);
+  queue.close();
+  ASSERT_EQ(holder.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  EXPECT_EQ(holder.get(), (std::vector<int>{1, 2}));
 }
 
 // ---------------------------------------------------------------------------

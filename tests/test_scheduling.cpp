@@ -1,8 +1,10 @@
 // Scheduling tests (PR 9): EDF bulk-lane ordering determinism (ties, mixed
 // deadline/no-deadline entries, all-expired pops), cross-session IMU
 // coalescing bit-identity against direct TrackingSession inference,
-// per-session FIFO preserved under 8-thread pipelined load, and IMU pass
-// accounting (every served session update counted in exactly one pass).
+// per-session FIFO preserved under 8-thread pipelined load, IMU pass
+// accounting (every served session update counted in exactly one pass), and
+// the bounded session drain (a continuously fed track never holds a Wi-Fi
+// scan behind it).
 //
 // Carries the `concurrency` CTest label and runs under
 // -DNOBLE_SANITIZE=thread in CI.
@@ -451,6 +453,78 @@ TEST(SessionAccounting, LoneSessionUpdatesEachCountInOneImuPass) {
 TEST(SessionAccounting, SeveralSessionUpdatesEachCountInOneImuPass) {
   expect_every_update_in_one_imu_pass(8, /*coalesce=*/true);
   expect_every_update_in_one_imu_pass(8, /*coalesce=*/false);
+}
+
+// Bounded session drain: a worker serving a track hands it back to the
+// shared queue between rounds whenever other work waits there, so a Wi-Fi
+// scan submitted while one worker drains a continuously fed track resolves
+// while the track is still being fed. An unbounded drain would serve the
+// track until its FIFO ran dry, which only happens once the producers stop
+// at their safety cap — the cap bounds the test's runtime, not the scan's
+// latency.
+TEST(SessionDrain, ScanSubmittedMidDrainResolvesWhileTheTrackIsStillFed) {
+  const auto& f = scheduling_fixture();
+  const serve::WifiLocalizer wifi = serve::WifiLocalizer::from_model(f.wifi_model);
+  const serve::ImuLocalizer imu = serve::ImuLocalizer::from_model(f.imu_tracker);
+  ASSERT_FALSE(f.imu_exp.split.test.paths.empty());
+  ASSERT_FALSE(f.wifi_exp.split.test.samples.empty());
+
+  EngineConfig cfg;
+  cfg.workers = 1;  // the draining worker is the only one that can serve the scan
+  // A deep FIFO rides out producer preemptions: it only runs dry if both
+  // producers stall for thousands of rounds.
+  cfg.session_backlog = 4096;
+  Engine engine(wifi, imu, cfg);
+  const auto& path = f.imu_exp.split.test.paths[0];
+  const auto session = engine.open_session(path.start);
+  ASSERT_TRUE(session.has_value());
+  const std::vector<serve::ImuSegment> segments =
+      segments_of(path, f.imu_tracker.segment_dim());
+  ASSERT_FALSE(segments.empty());
+
+  // Two producers keep the track's FIFO topped up (results are not awaited)
+  // until told to stop or until their safety cap runs out. One producer
+  // barely keeps pace with the worker's rounds; two outpace it, so the FIFO
+  // never runs dry on its own.
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> fed{0};
+  std::atomic<bool> hit_cap{false};
+  const auto cap = Clock::now() + std::chrono::seconds(20);
+  const auto produce = [&] {
+    std::size_t next = 0;
+    while (!stop.load()) {
+      if (Clock::now() >= cap) {
+        hit_cap.store(true);
+        return;
+      }
+      if (engine.track(*session, segments[next % segments.size()]).accepted()) {
+        ++next;
+        fed.fetch_add(1);
+      } else {
+        std::this_thread::yield();  // FIFO full: the drain is behind
+      }
+    }
+  };
+  std::thread producer_a(produce);
+  std::thread producer_b(produce);
+  // The worker is mid-drain on this track once the FIFO is well stocked.
+  while (fed.load() < cfg.session_backlog && !hit_cap.load()) {
+    std::this_thread::yield();
+  }
+  const serve::RssiVector& rssi = f.wifi_exp.split.test.samples[0].rssi;
+  Submission scan = engine.submit(rssi);
+  const bool resolved =
+      scan.accepted() &&
+      scan.result.wait_for(std::chrono::seconds(60)) == std::future_status::ready;
+  stop.store(true);
+  producer_a.join();
+  producer_b.join();
+  EXPECT_TRUE(scan.accepted());
+  EXPECT_TRUE(resolved);
+  EXPECT_FALSE(hit_cap.load()) << "the scan waited until the producers stopped feeding";
+  if (resolved) {
+    EXPECT_TRUE(scan.result.get() == wifi.locate(rssi));
+  }
 }
 
 }  // namespace
