@@ -24,6 +24,12 @@
 //    so the order is total and deterministic. Interactive stays FIFO: its
 //    product is arrival-order latency, not deadline goodput.
 //
+// Neither side allocates while holding the queue lock: the lanes draw their
+// storage from a pool the queue owns (blocks freed by a pop are reused by
+// later pushes), and `pop_batch` sizes its batch before locking. A malloc
+// or free under the lock could wait on an allocator arena that a
+// descheduled thread holds, stalling every producer and consumer with it.
+//
 // Consumers block in `pop_batch`, which gathers up to `max_items` entries.
 // Batching is work-conserving (the adaptive-batching rule of Clipper,
 // Crankshaw et al., NSDI 2017): a consumer holding an under-full batch
@@ -44,6 +50,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory_resource>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -102,7 +109,10 @@ class BoundedQueue {
   /// ordering (see the header comment); the interactive lane is always FIFO.
   explicit BoundedQueue(std::size_t capacity, ClassCaps caps = {},
                         bool edf_bulk = false)
-      : capacity_(capacity), caps_(caps), edf_bulk_(edf_bulk) {
+      : capacity_(capacity),
+        caps_(caps),
+        edf_bulk_(edf_bulk),
+        lanes_{Lane(&lane_storage_), Lane(&lane_storage_)} {
     NOBLE_EXPECTS(capacity >= 1);
     NOBLE_EXPECTS(caps.interactive <= capacity);
     NOBLE_EXPECTS(caps.bulk <= capacity);
@@ -118,7 +128,7 @@ class BoundedQueue {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_) return PushResult::kClosed;
-      std::deque<Entry>& lane = lanes_[request_class_index(cls)];
+      Lane& lane = lanes_[request_class_index(cls)];
       const std::size_t class_cap = caps_.of(cls);
       if (class_cap > 0 && lane.size() >= class_cap) return PushResult::kFull;
       if (size_locked() >= capacity_) return PushResult::kFull;
@@ -159,6 +169,7 @@ class BoundedQueue {
                            std::vector<T>* expired = nullptr) {
     NOBLE_EXPECTS(max_items >= 1);
     std::vector<T> batch;
+    batch.reserve(max_items);
     const std::size_t expired_before = expired == nullptr ? 0 : expired->size();
     std::unique_lock<std::mutex> lock(mu_);
     if (size_locked() == 0 && !closed_) {
@@ -175,7 +186,7 @@ class BoundedQueue {
     for (;;) {
       // Priority sweep: interactive first, bulk fills what is left.
       const Clock::time_point now = Clock::now();
-      for (std::deque<Entry>& lane : lanes_) {
+      for (Lane& lane : lanes_) {
         while (!lane.empty() && batch.size() < max_items) {
           Entry entry = std::move(lane.front());
           lane.pop_front();
@@ -250,6 +261,8 @@ class BoundedQueue {
     }
   };
 
+  using Lane = std::pmr::deque<Entry>;
+
   std::size_t size_locked() const { return lanes_[0].size() + lanes_[1].size(); }
 
   const std::size_t capacity_;
@@ -257,9 +270,13 @@ class BoundedQueue {
   const bool edf_bulk_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  /// Backs both lanes; touched only under mu_, so it needs no lock of its
+  /// own. It keeps the blocks a pop frees and hands them to later pushes,
+  /// so once warm the lanes never reach the global allocator.
+  std::pmr::unsynchronized_pool_resource lane_storage_;
   /// One lane per class; index 0 (interactive) always drains first.
   /// Interactive is FIFO; bulk is FIFO or deadline-ordered (edf_bulk_).
-  std::array<std::deque<Entry>, kNumRequestClasses> lanes_;
+  std::array<Lane, kNumRequestClasses> lanes_;
   std::uint64_t next_seq_ = 0;
   bool closed_ = false;
   /// Consumers blocked in `pop_batch` on the empty queue.

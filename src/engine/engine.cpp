@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -31,7 +32,9 @@ Engine::Engine(std::unique_ptr<WifiBackend> prototype, EngineConfig config)
       queue_(config.queue_cap,
              ClassCaps{std::min(config.interactive_cap, config.queue_cap),
                        std::min(config.bulk_cap, config.queue_cap)},
-             config.edf_bulk) {
+             config.edf_bulk),
+      scan_pool_(config.queue_cap + config.workers * config.max_batch),
+      telemetry_(std::make_unique<Telemetry[]>(config.workers + 1)) {
   NOBLE_EXPECTS(prototype != nullptr);
   NOBLE_EXPECTS(config_.workers >= 1);
   NOBLE_EXPECTS(config_.max_batch >= 1);
@@ -108,7 +111,8 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
       // Counted like any other request (accepted, then a latency sample) so
       // the stats invariants hold with the cache on — but never as a batch
       // and without a queue-wait sample: it was never queued. One short
-      // stats_mu_ hold; the promise/future machinery dominates the hit cost.
+      // hold of the admission telemetry shard; the promise/future machinery
+      // dominates the hit cost.
       std::promise<serve::Fix> promise;
       std::future<serve::Fix> result = promise.get_future();
       class_accepted_[cls].inc();
@@ -126,8 +130,9 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
       const double latency_us =  // clock read outside the lock
           std::chrono::duration<double, std::micro>(Clock::now() - submitted_at).count();
       {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        class_latency_[cls].record(latency_us);
+        Telemetry& admission = telemetry_[config_.workers];
+        std::lock_guard<std::mutex> lock(admission.mu);
+        admission.class_latency_us[cls].record(latency_us);
       }
       if (options.trace != nullptr && !options.trace->external_respond) {
         options.trace->stamp(obs::Mark::kResponded);
@@ -136,8 +141,15 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
       return {SubmitStatus::kAccepted, std::move(result)};
     }
   }
-  // The only copy, on admission.
-  WifiRequest request{rssi, {}, submitted_at, options.request_class, options.trace};
+  // The only copy, on admission, into a pooled buffer (see scan_pool.h).
+  WifiRequest request{scan_pool_.acquire(), {}, {}, submitted_at,
+                      options.request_class, options.trace};
+  if (request.slot != ScanPool::kNoSlot) {
+    scan_pool_.buffer(request.slot).assign(rssi.begin(), rssi.end());
+  } else {
+    request.rssi = rssi;
+  }
+  const std::uint32_t slot = request.slot;
   std::future<serve::Fix> result = request.promise.get_future();
   // Counted before the push: once the queue has the request a worker may
   // complete it immediately, and stats() must never observe
@@ -149,6 +161,7 @@ Submission Engine::submit(const serve::RssiVector& rssi, const SubmitOptions& op
   const PushResult pushed =
       queue_.try_push(Request{std::move(request)}, options.request_class, deadline);
   if (pushed != PushResult::kOk) {
+    if (slot != ScanPool::kNoSlot) scan_pool_.release(slot);  // the queue dropped it
     class_accepted_[cls].sub();
     class_rejected_[cls].inc();
     return {pushed == PushResult::kClosed ? SubmitStatus::kStopped
@@ -253,14 +266,15 @@ bool Engine::close_session(SessionId session) {
 
 EngineStats Engine::stats() const {
   EngineStats snapshot;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    snapshot.batch_size = batch_hist_;
-    snapshot.imu_batch_size = imu_batch_hist_;
-    snapshot.queue_wait_us = queue_wait_hist_;
-    snapshot.assembly_us = assembly_hist_;
-    snapshot.interactive.latency_us = class_latency_[0];
-    snapshot.bulk.latency_us = class_latency_[1];
+  for (std::size_t i = 0; i <= config_.workers; ++i) {
+    const Telemetry& shard = telemetry_[i];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    snapshot.batch_size.merge(shard.batch_size);
+    snapshot.imu_batch_size.merge(shard.imu_batch_size);
+    snapshot.queue_wait_us.merge(shard.queue_wait_us);
+    snapshot.assembly_us.merge(shard.assembly_us);
+    snapshot.interactive.latency_us.merge(shard.class_latency_us[0]);
+    snapshot.bulk.latency_us.merge(shard.class_latency_us[1]);
   }
   // The admission counters are read after the histograms: every completion
   // was counted as accepted first, so this order keeps the derived
@@ -326,9 +340,12 @@ void EngineStats::merge(const EngineStats& other) {
 }
 
 void Engine::worker_loop(std::size_t worker_index) {
-  const WifiBackend& replica = *replicas_[worker_index];
+  WorkerContext worker{*replicas_[worker_index], telemetry_[worker_index], {}};
+  // Kept across pops, like the scan buffers: pop_batch appends to it under
+  // the queue lock, which must not wait on the allocator once warm.
+  std::vector<Request> expired;
   for (;;) {
-    std::vector<Request> expired;
+    expired.clear();
     std::vector<Request> batch = queue_.pop_batch(
         config_.max_batch, std::chrono::microseconds(config_.max_wait_us), &expired);
     if (batch.empty() && expired.empty()) return;  // closed and fully drained
@@ -338,6 +355,7 @@ void Engine::worker_loop(std::size_t worker_index) {
     // move on — the batch slots went to live requests instead.
     for (Request& request : expired) {
       if (auto* query = std::get_if<WifiRequest>(&request)) {
+        release_scan(*query);
         expire_promise(query->promise, query->cls);
       } else {
         // Tokens are pushed without deadlines; treat one here as live.
@@ -356,19 +374,20 @@ void Engine::worker_loop(std::size_t worker_index) {
         tokens.push_back(std::get<SessionWork>(request).id);
       }
     }
-    if (!wifi.empty()) run_wifi_batch(replica, std::move(wifi), dequeued_ns);
+    if (!wifi.empty()) run_wifi_batch(worker, std::move(wifi), dequeued_ns);
     if (config_.coalesce_sessions) {
       // One IMU pass per round over every track this pop's tokens cover.
-      if (!tokens.empty()) drain_sessions(tokens);
+      if (!tokens.empty()) drain_sessions(tokens, worker.telemetry);
     } else {
-      for (const SessionId id : tokens) drain_sessions({id});
+      for (const SessionId id : tokens) drain_sessions({id}, worker.telemetry);
     }
   }
 }
 
 template <typename Ticket, typename Compute, typename Publish>
 void Engine::complete_batch(std::vector<Ticket>& tickets, std::uint64_t taken_ns,
-                            Compute&& compute, Publish&& publish) {
+                            Telemetry& telemetry, Compute&& compute,
+                            Publish&& publish) {
   constexpr bool kImu = std::is_same_v<Ticket, PendingUpdate>;
   bool any_traced = false;
   for (const Ticket& ticket : tickets) {
@@ -393,12 +412,13 @@ void Engine::complete_batch(std::vector<Ticket>& tickets, std::uint64_t taken_ns
     }
   }
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    (kImu ? imu_batch_hist_ : batch_hist_).record(static_cast<double>(tickets.size()));
-    assembly_hist_.record(us_between(taken_ns, assembled_ns));
+    std::lock_guard<std::mutex> lock(telemetry.mu);
+    (kImu ? telemetry.imu_batch_size : telemetry.batch_size)
+        .record(static_cast<double>(tickets.size()));
+    telemetry.assembly_us.record(us_between(taken_ns, assembled_ns));
     for (const Ticket& ticket : tickets) {
-      queue_wait_hist_.record(us_between(ns_of(ticket.submitted_at), taken_ns));
-      class_latency_[request_class_index(ticket.cls)].record(
+      telemetry.queue_wait_us.record(us_between(ns_of(ticket.submitted_at), taken_ns));
+      telemetry.class_latency_us[request_class_index(ticket.cls)].record(
           std::chrono::duration<double, std::micro>(done - ticket.submitted_at).count());
     }
   }
@@ -411,29 +431,51 @@ void Engine::complete_batch(std::vector<Ticket>& tickets, std::uint64_t taken_ns
       obs::Tracer::global().finish(*tickets[i].trace);
     }
   }
+  // Hand this core to the callers just woken when one of them is
+  // interactive. On a host with more runnable threads than cores, a woken
+  // caller otherwise queues behind this worker's next batch and waits out
+  // a time slice before it can read its fix; with a core to spare the
+  // yield returns at once. Bulk callers are not waiting on latency.
+  if (std::any_of(tickets.begin(), tickets.end(), [](const Ticket& ticket) {
+        return ticket.cls == RequestClass::kInteractive;
+      })) {
+    std::this_thread::yield();
+  }
 }
 
-void Engine::run_wifi_batch(const WifiBackend& replica,
-                            std::vector<WifiRequest> batch,
+void Engine::release_scan(const WifiRequest& request) {
+  if (request.slot != ScanPool::kNoSlot) scan_pool_.release(request.slot);
+}
+
+void Engine::run_wifi_batch(WorkerContext& worker, std::vector<WifiRequest> batch,
                             std::uint64_t dequeued_ns) {
-  std::vector<serve::RssiVector> queries;
-  queries.reserve(batch.size());
-  for (WifiRequest& request : batch) queries.push_back(std::move(request.rssi));
+  if (worker.scans.size() < batch.size()) worker.scans.resize(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    WifiRequest& request = batch[i];
+    if (request.slot != ScanPool::kNoSlot) {
+      // Trade buffers with the pool: the worker keeps the scan, the slot
+      // gets the buffer the worker held. No copy, and nothing is freed.
+      worker.scans[i].swap(scan_pool_.buffer(request.slot));
+      release_scan(request);
+    } else {
+      worker.scans[i].assign(request.rssi.begin(), request.rssi.end());
+    }
+  }
+  const std::span<const serve::RssiVector> queries(worker.scans.data(), batch.size());
   complete_batch(
-      batch, dequeued_ns, [&] { return replica.locate_batch(queries); },
+      batch, dequeued_ns, worker.telemetry,
+      [&] { return worker.replica.locate_batch(queries); },
       [&](const std::vector<serve::Fix>& fixes) {
         if (!cache_.has_value()) return;
         // Populate before fulfilling: once a future resolves, the cache
         // already reflects its scan, so a client that awaits a fix and
         // resubmits the same scan is guaranteed the fast path (and telemetry
         // reads after get() are deterministic).
-        for (std::size_t i = 0; i < queries.size(); ++i) {
-          cache_->put(std::move(queries[i]), fixes[i]);
-        }
+        for (std::size_t i = 0; i < queries.size(); ++i) cache_->put(queries[i], fixes[i]);
       });
 }
 
-void Engine::drain_sessions(const std::vector<SessionId>& ids) {
+void Engine::drain_sessions(const std::vector<SessionId>& ids, Telemetry& telemetry) {
   // shared_ptr copies keep every state alive across the drain even if the
   // session is closed mid-flight (close_session only clears pending and
   // unregisters; it never touches the TrackingSession itself).
@@ -518,7 +560,8 @@ void Engine::drain_sessions(const std::vector<SessionId>& ids) {
     segments.reserve(updates.size());
     for (const PendingUpdate& update : updates) segments.push_back(&update.segment);
     complete_batch(
-        updates, taken_ns, [&] { return imu_->update_sessions(sessions, segments); },
+        updates, taken_ns, telemetry,
+        [&] { return imu_->update_sessions(sessions, segments); },
         [](const std::vector<serve::Fix>&) {});
     if (queue_.depth() == 0) continue;
     for (std::size_t t = 0; t < tracks.size(); ++t) {

@@ -53,6 +53,18 @@
 // depths, the micro-batch-size and stage distributions and the per-class
 // latency histograms (all noble::Histogram); every total it reports is
 // derived from those, so each event is recorded exactly once.
+//
+// Under overload the engine shares the host's cores with its callers, so a
+// thread can be descheduled at any instant. Workers are kept from stalling
+// on one another through it: a scan's admission copy lives in a pooled
+// buffer (engine/scan_pool.h) that the serving worker swaps out instead of
+// freeing submitter memory (whose allocator arena lock a descheduled
+// submitter may hold), the queue lock is never held across an allocation,
+// and each worker records its batches into its own telemetry shard, which
+// stats() merges. A worker that has just woken an interactive caller
+// yields its core once, so the caller reads its fix without waiting out a
+// time slice behind the worker's next batch. (IMU segments are still moved
+// in by the caller and freed by the worker that applies them.)
 #ifndef NOBLE_ENGINE_ENGINE_H_
 #define NOBLE_ENGINE_ENGINE_H_
 
@@ -75,6 +87,7 @@
 #include "engine/backend.h"
 #include "engine/bounded_queue.h"
 #include "engine/fingerprint_cache.h"
+#include "engine/scan_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/imu_localizer.h"
@@ -355,6 +368,9 @@ class Engine {
   using Clock = std::chrono::steady_clock;
 
   struct WifiRequest {
+    /// The scan's scan_pool_ slot; kNoSlot when every slot was taken and
+    /// `rssi` holds an owned copy instead.
+    std::uint32_t slot = ScanPool::kNoSlot;
     serve::RssiVector rssi;
     std::promise<serve::Fix> promise;
     Clock::time_point submitted_at;
@@ -386,11 +402,37 @@ class Engine {
     bool closed = false;
   };
 
+  /// Completion telemetry of one recorder: a worker, or the admission path
+  /// for cache hits. Each has its own lock, so recording a batch never
+  /// waits on another worker; stats() merges every shard. Aligned apart so
+  /// two recorders never share a cache line.
+  struct alignas(64) Telemetry {
+    mutable std::mutex mu;
+    Histogram batch_size = Histogram::batch_sizes();
+    Histogram imu_batch_size = Histogram::batch_sizes();
+    Histogram queue_wait_us = Histogram::latency_us();
+    Histogram assembly_us = Histogram::latency_us();
+    /// One latency histogram per class: every completion is recorded in
+    /// exactly one.
+    Histogram class_latency_us[kNumRequestClasses] = {Histogram::latency_us(),
+                                                      Histogram::latency_us()};
+  };
+
+  /// Per-worker state that lives across pops: its replica, its telemetry
+  /// shard and the scan buffers its batches are assembled in.
+  struct WorkerContext {
+    const WifiBackend& replica;
+    Telemetry& telemetry;
+    std::vector<serve::RssiVector> scans;
+  };
+
   void worker_loop(std::size_t worker_index);
   /// `dequeued_ns` is the batch's single pop timestamp — one clock read
   /// serves every request in the batch (kDequeued is a batch-level boundary).
-  void run_wifi_batch(const WifiBackend& replica, std::vector<WifiRequest> batch,
+  void run_wifi_batch(WorkerContext& worker, std::vector<WifiRequest> batch,
                       std::uint64_t dequeued_ns);
+  /// Hands a request's scan buffer back to scan_pool_ (no-op without one).
+  void release_scan(const WifiRequest& request);
   /// Serves the pending updates of `ids` in rounds: each round takes one
   /// live update per track and runs them as one batched IMU pass
   /// (ImuLocalizer::update_sessions). Session locks are taken only to pop
@@ -401,16 +443,18 @@ class Engine {
   /// updates left — when the shared queue holds work between rounds.
   /// Called once per pop with every token under coalescing, and once per
   /// token with `coalesce_sessions` off.
-  void drain_sessions(const std::vector<SessionId>& ids);
+  void drain_sessions(const std::vector<SessionId>& ids, Telemetry& telemetry);
   /// The one completion path for Wi-Fi micro-batches and IMU rounds.
   /// Stamps kDequeued (at `taken_ns`, the instant the batch's inputs were
   /// taken) and kAssembled, runs `compute` (-> one Fix per ticket), stamps
-  /// kComputed, records the batch under one stats_mu_ hold, hands the fixes
+  /// kComputed, records the batch under one hold of `telemetry`'s lock (the
+  /// calling worker's own shard), hands the fixes
   /// to `publish` (the Wi-Fi cache fill) and only then fulfils the promises
-  /// and finishes the traces. Defined in engine.cpp, its only user.
+  /// and finishes the traces; yields the core if it woke an interactive
+  /// caller. Defined in engine.cpp, its only user.
   template <typename Ticket, typename Compute, typename Publish>
   void complete_batch(std::vector<Ticket>& tickets, std::uint64_t taken_ns,
-                      Compute&& compute, Publish&& publish);
+                      Telemetry& telemetry, Compute&& compute, Publish&& publish);
   /// Resolves the effective deadline: explicit > engine default > none.
   std::optional<Clock::time_point> resolve_deadline(const SubmitOptions& options,
                                                     const Clock::time_point& now) const;
@@ -421,6 +465,10 @@ class Engine {
   std::vector<std::unique_ptr<WifiBackend>> replicas_;  ///< one per worker
   std::optional<serve::ImuLocalizer> imu_;
   BoundedQueue<Request> queue_;
+  /// Admission copies of queued scans: a slot per queue entry plus one per
+  /// batch seat, so the owned-copy fallback only covers submitters caught
+  /// between taking a slot and a rejected push.
+  ScanPool scan_pool_;
   std::optional<FingerprintCache> cache_;  ///< engaged iff cache_capacity > 0
 
   /// Admission counters are obs::Counter (thread-striped atomics): many
@@ -435,17 +483,10 @@ class Engine {
   /// deflate the hit rate. (IMU updates are stateful and never cached.)
   obs::Counter cache_hits_;
   obs::Counter cache_misses_;
-  /// Guards the histograms below. Their counts are the completed/batches/
-  /// imu_batches totals, so one hold records a whole batch consistently.
-  mutable std::mutex stats_mu_;
-  Histogram batch_hist_ = Histogram::batch_sizes();
-  Histogram imu_batch_hist_ = Histogram::batch_sizes();
-  Histogram queue_wait_hist_ = Histogram::latency_us();
-  Histogram assembly_hist_ = Histogram::latency_us();
-  /// One latency histogram per class: every completion is recorded in
-  /// exactly one.
-  Histogram class_latency_[kNumRequestClasses] = {Histogram::latency_us(),
-                                                  Histogram::latency_us()};
+  /// One shard per worker, then the admission path's. Their histogram
+  /// counts are the completed/batches/imu_batches totals, and each batch is
+  /// recorded under one hold of its shard's lock, so it lands whole.
+  std::unique_ptr<Telemetry[]> telemetry_;
 
   mutable std::mutex sessions_mu_;  ///< guards the registry map only
   std::unordered_map<SessionId, std::shared_ptr<SessionState>> sessions_;

@@ -1,12 +1,14 @@
 // Engine tests: bounded-queue semantics (deterministic backpressure and
-// batching), the engine equivalence contract (batched output bit-identical
-// to direct locate() under concurrency), session multiplexing, admission
-// control under flood, telemetry, and graceful shutdown.
+// batching), the scan pool's lock-free free list, the engine equivalence
+// contract (batched output bit-identical to direct locate() under
+// concurrency), session multiplexing, admission control under flood,
+// telemetry, and graceful shutdown.
 //
 // The concurrency tests here carry the `concurrency` CTest label and run
 // under -DNOBLE_SANITIZE=thread in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -25,6 +27,7 @@
 #include "engine/backend.h"
 #include "engine/bounded_queue.h"
 #include "engine/engine.h"
+#include "engine/scan_pool.h"
 #include "kernels/kernels.h"
 #include "serve/imu_localizer.h"
 #include "serve/wifi_localizer.h"
@@ -186,6 +189,70 @@ TEST(WorkConservingBatching, CloseDuringAHeldWindowReturnsWhatWasTaken) {
   queue.close();
   ASSERT_EQ(holder.wait_for(std::chrono::seconds(10)), std::future_status::ready);
   EXPECT_EQ(holder.get(), (std::vector<int>{1, 2}));
+}
+
+// ---------------------------------------------------------------------------
+// ScanPool: the lock-free free list behind the engine's admission copies.
+// ---------------------------------------------------------------------------
+
+TEST(ScanPool, HandsOutEverySlotOnceThenReportsExhaustion) {
+  ScanPool pool(3);
+  std::vector<std::uint32_t> taken;
+  for (int i = 0; i < 3; ++i) taken.push_back(pool.acquire());
+  std::sort(taken.begin(), taken.end());
+  EXPECT_EQ(taken, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(pool.acquire(), ScanPool::kNoSlot);
+  // A returned slot comes back with its buffer, capacity and all: the next
+  // owner's copy reuses the allocation instead of making one.
+  pool.buffer(taken[1]).assign(16, -70.0f);
+  const float* storage = pool.buffer(taken[1]).data();
+  pool.release(taken[1]);
+  const std::uint32_t again = pool.acquire();
+  EXPECT_EQ(again, taken[1]);
+  pool.buffer(again).assign(16, -80.0f);
+  EXPECT_EQ(pool.buffer(again).data(), storage);
+  EXPECT_EQ(pool.acquire(), ScanPool::kNoSlot);
+}
+
+TEST(ScanPool, ConcurrentOwnersNeverShareASlot) {
+  // More owners than slots, so acquire races release and runs dry. Each
+  // owner stamps its slot's buffer and checks the stamp survives until it
+  // releases: a slot handed to two owners at once (an ABA-corrupted free
+  // list) shows up as a double claim or a foreign stamp.
+  constexpr std::size_t kSlots = 3;
+  constexpr int kOwners = 4;
+  constexpr int kRounds = 20000;
+  ScanPool pool(kSlots);
+  std::atomic<bool> claimed[kSlots] = {};
+  std::atomic<int> violations{0};
+  std::vector<std::thread> owners;
+  for (int o = 0; o < kOwners; ++o) {
+    owners.emplace_back([&, o] {
+      const auto stamp = static_cast<float>(o);
+      for (int r = 0; r < kRounds; ++r) {
+        std::uint32_t slot = pool.acquire();
+        while (slot == ScanPool::kNoSlot) {
+          std::this_thread::yield();
+          slot = pool.acquire();
+        }
+        if (claimed[slot].exchange(true)) violations.fetch_add(1);
+        pool.buffer(slot).assign(4, stamp);
+        if (r % 64 == 0) std::this_thread::yield();
+        if (pool.buffer(slot) != std::vector<float>(4, stamp)) violations.fetch_add(1);
+        claimed[slot].store(false);
+        pool.release(slot);
+      }
+    });
+  }
+  for (auto& owner : owners) owner.join();
+  EXPECT_EQ(violations.load(), 0);
+  // Every slot made it back: the list is whole.
+  std::vector<std::uint32_t> drained;
+  for (std::uint32_t slot = pool.acquire(); slot != ScanPool::kNoSlot;
+       slot = pool.acquire()) {
+    drained.push_back(slot);
+  }
+  EXPECT_EQ(drained.size(), kSlots);
 }
 
 // ---------------------------------------------------------------------------
