@@ -362,19 +362,23 @@ void Engine::worker_loop(std::size_t worker_index) {
         batch.push_back(std::move(request));
       }
     }
-    // Partition the takes: independent Wi-Fi queries coalesce into one
-    // network pass; session tokens are drained afterwards (their ordering
-    // lives in the per-session FIFO, not the shared queue).
-    std::vector<WifiRequest> wifi;
+    // Partition the takes: independent Wi-Fi queries of one class coalesce
+    // into one network pass, interactive first, so an interactive fix waits
+    // for its own rows and not for the bulk rows that filled the rest of the
+    // pop. Session tokens are drained afterwards (their ordering lives in
+    // the per-session FIFO, not the shared queue).
+    std::vector<WifiRequest> wifi[kNumRequestClasses];
     std::vector<SessionId> tokens;
     for (Request& request : batch) {
       if (auto* query = std::get_if<WifiRequest>(&request)) {
-        wifi.push_back(std::move(*query));
+        wifi[request_class_index(query->cls)].push_back(std::move(*query));
       } else {
         tokens.push_back(std::get<SessionWork>(request).id);
       }
     }
-    if (!wifi.empty()) run_wifi_batch(worker, std::move(wifi), dequeued_ns);
+    for (std::vector<WifiRequest>& pass : wifi) {
+      if (!pass.empty()) run_wifi_batch(worker, std::move(pass), dequeued_ns);
+    }
     if (config_.coalesce_sessions) {
       // One IMU pass per round over every track this pop's tokens cover.
       if (!tokens.empty()) drain_sessions(tokens, worker.telemetry);

@@ -28,7 +28,9 @@
 //    may occupy, so a bulk flood sheds (kQueueFull) while interactive
 //    admissions keep their reserved headroom;
 //  - workers drain interactive entries first within the batching window,
-//    bulk fills the remainder of each micro-batch;
+//    bulk fills the remainder of each micro-batch, and a micro-batch that
+//    holds both classes runs them as two network passes, interactive
+//    first, so an interactive scan never waits on bulk rows;
 //  - a request whose deadline passes before a worker reaches it never
 //    spends a GEMM slot: at submit() an already-expired deadline returns
 //    SubmitStatus::kExpired, and an accepted request that expires while

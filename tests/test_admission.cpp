@@ -156,6 +156,9 @@ std::vector<serve::RssiVector> query_pool(std::size_t count) {
 
 bool fixes_identical(const serve::Fix& a, const serve::Fix& b) { return a == b; }
 
+/// Network passes SlowBackend has started, across every instance.
+std::atomic<int> slow_passes_started{0};
+
 /// Dense backend that sleeps per batch — holds a 1-worker engine busy long
 /// enough for a queued deadline to lapse deterministically.
 class SlowBackend final : public WifiBackend {
@@ -165,6 +168,7 @@ class SlowBackend final : public WifiBackend {
 
   std::vector<serve::Fix> locate_batch(
       std::span<const serve::RssiVector> queries) const override {
+    slow_passes_started.fetch_add(1);
     std::this_thread::sleep_for(nap_);
     return inner_.locate_batch(queries);
   }
@@ -232,6 +236,50 @@ TEST(AdmissionEngine, QueuedRequestExpiresBeforeWastingAGemmSlot) {
   EXPECT_EQ(stats.expired, 1u);
   EXPECT_EQ(stats.bulk.expired, 1u);
   EXPECT_EQ(stats.batches, 1u);  // B never formed a batch
+}
+
+TEST(AdmissionEngine, InteractiveScanRunsAheadOfTheBulkRowsOfItsPop) {
+  const auto& localizer = reference_localizer();
+  const auto queries = query_pool(5);
+  ASSERT_GE(queries.size(), 5u);
+  EngineConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 8;
+  cfg.max_wait_us = 0;
+  constexpr auto kNap = std::chrono::milliseconds(50);  // per network pass
+  Engine engine(std::make_unique<SlowBackend>(localizer, kNap), cfg);
+
+  // A occupies the single worker; three bulk scans and then one
+  // interactive scan queue behind it and are taken in one pop, the
+  // interactive one first.
+  const int passes_before = slow_passes_started.load();
+  Submission a = engine.submit(queries[0]);
+  ASSERT_TRUE(a.accepted());
+  while (slow_passes_started.load() == passes_before) std::this_thread::yield();
+  std::vector<Submission> bulk;
+  for (std::size_t i = 1; i <= 3; ++i) {
+    bulk.push_back(engine.submit(queries[i], SubmitOptions::bulk()));
+    ASSERT_TRUE(bulk.back().accepted());
+  }
+  Submission interactive = engine.submit(queries[4]);
+  ASSERT_TRUE(interactive.accepted());
+
+  // The interactive row is its own pass, so it resolves a whole pass
+  // before the bulk rows that shared its pop (one pass would resolve all
+  // four together).
+  interactive.result.wait();
+  const auto interactive_ready = std::chrono::steady_clock::now();
+  bulk.back().result.wait();
+  EXPECT_GE(std::chrono::steady_clock::now() - interactive_ready, kNap / 2);
+
+  EXPECT_TRUE(fixes_identical(a.result.get(), localizer.locate(queries[0])));
+  EXPECT_TRUE(fixes_identical(interactive.result.get(), localizer.locate(queries[4])));
+  for (std::size_t i = 0; i < bulk.size(); ++i) {
+    EXPECT_TRUE(fixes_identical(bulk[i].result.get(), localizer.locate(queries[i + 1])));
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.batches, 3u);  // A, the interactive row, the bulk rows
+  EXPECT_EQ(stats.batch_size.max_recorded(), 3.0);
 }
 
 TEST(AdmissionEngine, EngineDefaultDeadlineApplies) {
